@@ -59,12 +59,12 @@ for prec in f32 int8; do
 done
 
 echo "=== statistical gate: batched serving is bit-identical under load ==="
-# Two replicas of the same frozen model, one on the lockstep batched-GEMM
-# engine and one with -batch-gemm=false (job-at-a-time), per precision.
-# Open-loop load keeps the batched replica's micro-batcher coalescing
-# multi-request batches while the verify loop asserts per-seed responses
-# are float-exact across the two engines — HTTP-level proof that batching
-# is purely an execution-schedule change.
+# Two replicas of the same frozen model per precision, one coalescing
+# requests into engine batches and one with -batch-max 1 (every job alone
+# in the engine). Open-loop load keeps the batched replica's micro-batcher
+# coalescing multi-request batches while the verify loop asserts per-seed
+# responses are float-exact across the two — HTTP-level proof that a job's
+# output does not depend on what shares the engine with it.
 BATCHED=http://127.0.0.1:18073
 UNBATCHED=http://127.0.0.1:18074
 wait_http() {
@@ -88,7 +88,7 @@ for prec in f32 int8; do
         -precision "$prec" -addr 127.0.0.1:18073 >"$work/serve-batched-$prec.log" 2>&1 &
     batched_pid=$!
     "$work/gendt-serve" -model "$work/model.json" -dataset A -scale 0.02 -seed 7 \
-        -precision "$prec" -batch-gemm=false -addr 127.0.0.1:18074 >"$work/serve-unbatched-$prec.log" 2>&1 &
+        -precision "$prec" -batch-max 1 -addr 127.0.0.1:18074 >"$work/serve-unbatched-$prec.log" 2>&1 &
     unbatched_pid=$!
     trap 'kill "$batched_pid" "$unbatched_pid" 2>/dev/null || true; rm -rf "$work"' EXIT
     wait_http "$BATCHED/healthz"

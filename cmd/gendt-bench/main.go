@@ -33,11 +33,12 @@ import (
 	"time"
 
 	"gendt/internal/loadgen"
+	"gendt/internal/scenario"
 )
 
 func main() {
 	target := flag.String("target", "", "base URL under test (required)")
-	which := flag.String("dataset", "A", "dataset world: A or B (must match the serving fleet)")
+	which := flag.String("dataset", "A", "dataset world, a registered scenario name: "+strings.Join(scenario.Names(), ", ")+" (must match the serving fleet)")
 	scale := flag.Float64("scale", 0.05, "dataset scale (must match the serving fleet)")
 	seed := flag.Int64("seed", 1, "dataset seed (must match the serving fleet)")
 	model := flag.String("model", "", "model name in the fleet registry (empty = single-model default)")

@@ -1,27 +1,30 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
-	"sort"
 
 	"gendt/internal/nn"
 )
 
-// Batched lockstep generation: up to batchLanes same-model jobs step
-// their frozen LSTMs together, so each layer-step runs ONE batched matmul
-// (nn.GemmColF32 / MatVecInt8Batch) that streams the weights once for the
-// whole micro-batch instead of once per sequence, and each gate
-// activation runs as one vector call over the multi-lane plane.
+// The frozen generation engine. Up to batchLanes same-model jobs step
+// their frozen LSTMs together, so each layer-step runs one
+// nn.FrozenDense.ApplyBatch — for f32 a GEMM that streams the weights once
+// for the whole micro-batch instead of once per sequence — and each gate
+// activation runs as one vector call over the multi-lane plane. This is
+// the only window loop InferModel has: GenerateSeeded is the engine at
+// width 1, GenerateJobs the engine at the width lanes() picks.
 //
-// The per-seed bit-exactness contract survives batching because nothing
-// that affects a lane's arithmetic changes:
-//   - the batched kernels preserve the single-lane kernels' per-row
-//     accumulation order exactly (see GemmColF32), so every matmul output
-//     is bit-identical to the sequential call;
-//   - every lane owns its RNG, so interleaving lanes cannot perturb a
-//     lane's draw sequence, and the engine's phase order (node slots
-//     outer / timesteps inner, then per-timestep agg + residual) walks
-//     each lane's draws in exactly GenerateSeeded's order;
+// A job's output is a pure function of (weights, Seq, Seed), whatever
+// shares the engine with it, because nothing that affects a lane's
+// arithmetic depends on the other lanes:
+//   - the batched f32 kernel keeps the single-lane kernel's per-row
+//     accumulation order exactly (see nn.GemmColF32), and the int8 matmul
+//     is per lane;
+//   - every lane owns its RNG, and the phase order (node slots outer /
+//     timesteps inner, then per-timestep agg + residual) walks each lane's
+//     draws in one fixed order: noise dims, modulation, dropout, residual
+//     eps — the f64 path's schedule (paper §A.2);
 //   - retired lanes are frozen via active masks — their state is not
 //     touched and their RNG draws nothing — rather than padded with work.
 //
@@ -30,11 +33,23 @@ import (
 // covers only still-live lanes, with masks needed only in the node phase
 // (a lane's visible-cell slot count is not monotonic in lane order).
 
-// batchLanes is the micro-batch width of the lockstep engine. Eight lanes
-// amortize the weight stream well past the point of diminishing returns
-// for the model sizes in play while keeping the per-engine scratch small;
-// larger request batches run as consecutive chunks.
+// batchLanes is the engine's capacity in lanes. Eight lanes amortize the
+// weight stream well past the point of diminishing returns for the model
+// sizes in play while keeping the per-engine scratch small; larger request
+// batches run as consecutive chunks.
 const batchLanes = 8
+
+// lanes is the width GenerateJobs chunks to. f32 chunks fill the engine:
+// the batched GEMM is where its gain comes from (1.2× per lane-step at 8
+// wide). int8 has no batched kernel — it measured 0.87× of per-lane and
+// was removed (BENCH_infer.json) — so extra lanes would only serialize jobs
+// that the worker pool can run side by side.
+func (im *InferModel) lanes() int {
+	if im.prec == PrecisionInt8 {
+		return 1
+	}
+	return batchLanes
+}
 
 // batchLane is one job's private half of the engine: its RNG, its
 // sequence, its accumulated output rows (also the lag history), and the
@@ -54,18 +69,19 @@ type batchLane struct {
 	bufA   []float32 // residual ping-pong buffers
 	bufB   []float32
 	lags   []float32 // [Lags*nch] residual lag assembly
-	xq     []int8    // int8 activation scratch for per-lane denses
 }
 
-// inferBatch is a pooled lockstep engine: the shared batched LSTM states,
-// the shared output-head plane, and batchLanes lanes.
+// inferBatch is a pooled engine: the shared batched LSTM states, the
+// shared output-head plane, and batchLanes lanes. Engines are fully
+// re-initialized per call (RNGs reseeded, LSTM lanes reset per window), so
+// reuse never leaks one job's randomness into another.
 type inferBatch struct {
 	node *nn.InferLSTMBatchState
 	agg  *nn.InferLSTMBatchState
 
 	headW int
 	head  []float32 // [batchLanes][headW] aggOut / residual-head plane
-	sc    nn.BatchScratch
+	xq    []int8    // int8 activation scratch for the non-LSTM denses
 
 	lanes    [batchLanes]*batchLane
 	order    []int  // job index per lane, descending by sequence length
@@ -77,6 +93,9 @@ type inferBatch struct {
 
 func (im *InferModel) newBatch() *inferBatch {
 	cfg := im.Cfg
+	// Dense outputs land in kernel-width-padded planes (pad8) so the f32
+	// backend always takes the blocked column-major kernel; callers only
+	// ever read the logical prefix.
 	pad8 := func(n int) int { return (n + 7) &^ 7 }
 	headW := pad8(2 * im.nch)
 	if p := im.aggOut.PadRows; p > headW {
@@ -92,6 +111,7 @@ func (im *InferModel) newBatch() *inferBatch {
 		agg:      im.agg.NewBatchState(batchLanes),
 		headW:    headW,
 		head:     make([]float32, batchLanes*headW),
+		xq:       make([]int8, im.maxCols()),
 		order:    make([]int, 0, batchLanes),
 		act:      make([]bool, batchLanes),
 		maxSlots: make([]int, batchLanes),
@@ -106,7 +126,6 @@ func (im *InferModel) newBatch() *inferBatch {
 			hAvg:   make([]float32, cfg.BatchLen*cfg.Hidden),
 			nCells: make([]int, cfg.BatchLen),
 			row:    make([]float32, im.nch),
-			xq:     make([]int8, im.scratchCols),
 		}
 		if im.res != nil {
 			w := im.res.in
@@ -128,23 +147,41 @@ func (im *InferModel) newBatch() *inferBatch {
 	return eng
 }
 
-// generateBatch runs len(jobs) (2..batchLanes) jobs in lockstep and
-// writes each job's denormalized series into out at its own index. Every
-// series is bit-identical to the sequential
-// DenormalizeSeries(GenerateSeeded(seq, seed)) for that job.
-func (im *InferModel) generateBatch(jobs []GenJob, out [][][]float64) {
+// checkCellDim panics when seq was prepared with a different per-cell
+// attribute width than the model was built for (PrepareOptions.LoadAware
+// out of step with Config.LoadAware). The f64 path fails the same way
+// inside nn.LSTM.Step; the frozen kernels would instead write the extra
+// attribute into a noise slot or leave a stale one in place.
+func (im *InferModel) checkCellDim(seq *Sequence) {
+	want := im.Cfg.CellDim()
+	for _, cells := range seq.Cells {
+		for _, c := range cells {
+			if len(c) != want {
+				panic(fmt.Sprintf("core: cell-attribute dimension mismatch: sequence has %d per cell, model expects %d (LoadAware=%v)",
+					len(c), want, im.Cfg.LoadAware))
+			}
+		}
+	}
+}
+
+// generate runs len(jobs) (1..batchLanes) jobs in lockstep and stores each
+// job's normalized [T][nch] series in norm at the job's own index.
+func (im *InferModel) generate(jobs []GenJob, norm [][][]float64) {
 	eng := im.batches.Get().(*inferBatch)
 	nb := len(jobs)
+	// Longest sequences first (stable insertion — at most batchLanes
+	// entries): lane retirement then only ever shrinks the live prefix, so
+	// the per-step matmuls shrink with it.
 	eng.order = eng.order[:0]
-	for i := range jobs {
+	for i, j := range jobs {
+		im.checkCellDim(j.Seq)
+		k := len(eng.order)
 		eng.order = append(eng.order, i)
+		for ; k > 0 && jobs[eng.order[k-1]].Seq.Len() < j.Seq.Len(); k-- {
+			eng.order[k] = eng.order[k-1]
+		}
+		eng.order[k] = i
 	}
-	// Longest sequences first: lane retirement then only ever shrinks the
-	// live prefix, so the per-step matmuls shrink with it.
-	sort.SliceStable(eng.order, func(a, b int) bool {
-		return jobs[eng.order[a]].Seq.Len() > jobs[eng.order[b]].Seq.Len()
-	})
-	Tmax := 0
 	for b := 0; b < nb; b++ {
 		j := jobs[eng.order[b]]
 		ln := eng.lanes[b]
@@ -152,31 +189,28 @@ func (im *InferModel) generateBatch(jobs []GenJob, out [][][]float64) {
 		ln.T = j.Seq.Len()
 		ln.src.Seed(j.Seed)
 		ln.out = make([][]float64, 0, ln.T)
-		if ln.T > Tmax {
-			Tmax = ln.T
-		}
 	}
-	for lo := 0; lo < Tmax; lo += im.Cfg.BatchLen {
+	for lo := 0; lo < eng.lanes[0].T; lo += im.Cfg.BatchLen {
 		nbw := 0
 		for nbw < nb && eng.lanes[nbw].T > lo {
 			nbw++
-		}
-		if nbw == 0 {
-			break
 		}
 		im.batchWindow(eng, nbw, lo)
 	}
 	for b, ji := range eng.order {
 		ln := eng.lanes[b]
-		out[ji] = im.DenormalizeSeries(ln.out)
+		norm[ji] = ln.out
 		ln.seq, ln.out, ln.backing = nil, nil, nil
 	}
 	im.batches.Put(eng)
 }
 
-// batchWindow mirrors forwardGen for one BatchLen window across the nbw
-// still-live lanes (a descending-length prefix, so per-lane window
-// lengths are non-increasing in lane order).
+// batchWindow generates one BatchLen window across the nbw still-live
+// lanes (a descending-length prefix, so per-lane window lengths are
+// non-increasing in lane order): per-slot node LSTM over the visible
+// cells, mean-pooled into the aggregation LSTM and output head, plus the
+// autoregressive Gaussian residual. LSTM state starts from zero at each
+// window, matching the training regime.
 func (im *InferModel) batchWindow(eng *inferBatch, nbw, lo int) {
 	cfg := im.Cfg
 	nch := im.nch
@@ -308,16 +342,16 @@ func (im *InferModel) batchWindow(eng *inferBatch, nbw, lo int) {
 			copy(eng.agg.Input(b), avg)
 		}
 		im.agg.StepBatch(eng.agg, nbt, nil, eng.rngs)
-		im.aggOut.ApplyBatch(aggH, aggStride, eng.head, eng.headW, nbt, &eng.sc)
+		im.aggOut.ApplyBatch(aggH, aggStride, eng.head, eng.headW, nbt, eng.xq)
 		for b := 0; b < nbt; b++ {
 			ln := eng.lanes[b]
 			head := eng.head[b*eng.headW : (b+1)*eng.headW]
 			row := ln.row
 			copy(row, head[:nch])
 			if im.res != nil {
-				// ln.out already holds every row before lo+t, so the
-				// teacher/window split of the sequential lag assembly
-				// collapses to one absolute index.
+				// Lags over the generated history: ln.out holds every row
+				// before lo+t, and the stored values are float32-rounded,
+				// so the widen/narrow round-trip is lossless.
 				lags := ln.lags
 				for i := range lags {
 					lags[i] = 0
@@ -333,7 +367,7 @@ func (im *InferModel) batchWindow(eng *inferBatch, nbw, lo int) {
 						dst[c] = float32(from[c])
 					}
 				}
-				im.res.forwardLane(ln.rng, ln.bufA, ln.bufB, lags, head, ln.xq, ln.seq.Env[lo+t], row)
+				im.res.forwardLane(ln.rng, ln.bufA, ln.bufB, lags, head, eng.xq, ln.seq.Env[lo+t], row)
 			}
 			o := ln.backing[t*nch : (t+1)*nch]
 			for c := range row {

@@ -17,16 +17,11 @@ func truncSeq(seq *Sequence, n int) *Sequence {
 	}
 }
 
-// TestBatchedGenerateJobsBitIdentical is the lockstep engine's contract:
-// GenerateJobs with batching on (the default), batching off
-// (WithBatch(false)), and per-job direct GenerateSeeded must all be
-// byte-equal, per precision, across mixed sequence lengths (ragged lane
-// retirement), chunk boundaries (more jobs than batchLanes), and worker
-// fan-out widths.
-func TestBatchedGenerateJobsBitIdentical(t *testing.T) {
-	m, seq := freezeFixture(t)
-	// Mixed lengths exercise window-level retirement (length differences
-	// spanning BatchLen windows) and per-timestep prefix shrink.
+// raggedJobs is 11 jobs — more than batchLanes and not a multiple, so the
+// last chunk is ragged — over mixed lengths that exercise window-level
+// lane retirement (length differences spanning BatchLen windows) and the
+// per-timestep prefix shrink.
+func raggedJobs(m *Model, seq *Sequence) []GenJob {
 	L := m.Cfg.BatchLen
 	seqs := []*Sequence{
 		seq,
@@ -37,26 +32,53 @@ func TestBatchedGenerateJobsBitIdentical(t *testing.T) {
 		truncSeq(seq, 1),
 	}
 	var jobs []GenJob
-	for i := 0; i < 11; i++ { // > batchLanes, non-multiple: ragged chunk
+	for i := 0; i < 11; i++ {
 		jobs = append(jobs, GenJob{Seq: seqs[i%len(seqs)], Seed: DeriveSeed(99, i)})
 	}
+	return jobs
+}
+
+// generateWide is GenerateJobs with every chunk batchLanes wide whatever
+// the precision, so int8 is exercised in lockstep too (lanes() runs it at
+// width 1).
+func generateWide(im *InferModel, jobs []GenJob) [][][]float64 {
+	out := make([][][]float64, len(jobs))
+	for lo := 0; lo < len(jobs); lo += batchLanes {
+		hi := lo + batchLanes
+		if hi > len(jobs) {
+			hi = len(jobs)
+		}
+		im.generate(jobs[lo:hi], out[lo:hi])
+		for i := lo; i < hi; i++ {
+			out[i] = im.DenormalizeSeries(out[i])
+		}
+	}
+	return out
+}
+
+// TestBatchedGenerateJobsBitIdentical is the engine's contract: a job's
+// output does not depend on what shares the engine with it. GenerateJobs,
+// 8-wide chunks, and per-job GenerateSeeded (width 1) must all be
+// byte-equal, per precision, across mixed sequence lengths (ragged lane
+// retirement), chunk boundaries, and worker fan-out widths.
+func TestBatchedGenerateJobsBitIdentical(t *testing.T) {
+	m, seq := freezeFixture(t)
+	jobs := raggedJobs(m, seq)
 	for _, p := range []Precision{PrecisionF32, PrecisionInt8} {
 		im, err := m.Freeze(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		batched := im.WithWorkers(1).GenerateJobs(jobs)
+		wide := generateWide(im, jobs)
+		parallel := im.WithWorkers(3).GenerateJobs(jobs)
 		for i, job := range jobs {
 			direct := im.DenormalizeSeries(im.GenerateSeeded(job.Seq, job.Seed))
 			if !series2Equal(batched[i], direct) {
-				t.Fatalf("%s: job %d (T=%d): batched vs direct GenerateSeeded differ", p, i, job.Seq.Len())
+				t.Fatalf("%s: job %d (T=%d): GenerateJobs vs direct GenerateSeeded differ", p, i, job.Seq.Len())
 			}
-		}
-		unbatched := im.WithBatch(false).WithWorkers(1).GenerateJobs(jobs)
-		parallel := im.WithWorkers(3).GenerateJobs(jobs)
-		for i := range jobs {
-			if !series2Equal(batched[i], unbatched[i]) {
-				t.Fatalf("%s: job %d: batch-on vs batch-off differ", p, i)
+			if !series2Equal(wide[i], direct) {
+				t.Fatalf("%s: job %d (T=%d): width %d vs width 1 differ", p, i, job.Seq.Len(), batchLanes)
 			}
 			if !series2Equal(batched[i], parallel[i]) {
 				t.Fatalf("%s: job %d: Workers=1 vs Workers=3 differ", p, i)

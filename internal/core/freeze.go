@@ -62,7 +62,7 @@ type Generator interface {
 	// WithWorkers returns a view of the same weights with the generation
 	// fan-out width overridden (n <= 0 keeps the current width). The
 	// returned Generator is only for the Generator interface paths; it
-	// shares weights (and, for frozen models, state pools) with the
+	// shares weights (and, for frozen models, the engine pool) with the
 	// receiver.
 	WithWorkers(n int) Generator
 }
@@ -128,17 +128,14 @@ func (m *Model) Freeze(p Precision) (*InferModel, error) {
 		}
 		im.res = r
 	}
-	im.scratchCols = im.maxCols()
-	im.states = &sync.Pool{New: func() any { return im.newState() }}
 	im.batches = &sync.Pool{New: func() any { return im.newBatch() }}
 	return im, nil
 }
 
 // InferModel is a frozen, immutable inference snapshot of a trained model.
-// Weights are shared by every generation; per-job recurrent state and
-// scratch live in pooled inferStates, so the steady-state hot path
-// allocates only the output rows (same allocation profile as the f64
-// path). All methods are safe for concurrent use.
+// Weights are shared by every generation; recurrent state and scratch live
+// in pooled engines (batch.go), so the steady-state hot path allocates
+// only the output rows. All methods are safe for concurrent use.
 type InferModel struct {
 	Cfg Config
 
@@ -152,17 +149,10 @@ type InferModel struct {
 	aggOut *nn.FrozenDense
 	res    *inferRes // nil under the NoResGen ablation
 
-	scratchCols int
-	// states pools inferState by pointer so WithWorkers' shallow copies
-	// share one pool (sync.Pool must not be copied by value).
-	states *sync.Pool
-	// batches pools the lockstep micro-batch engines (batch.go); shared
-	// across shallow copies for the same reason.
+	// batches pools the generation engines (batch.go) by pointer so
+	// WithWorkers' shallow copies share one pool (sync.Pool must not be
+	// copied by value).
 	batches *sync.Pool
-	// noBatch forces GenerateJobs down the job-at-a-time path (the
-	// -batch-gemm=false escape hatch). Outputs are bit-identical either
-	// way; only the execution schedule differs.
-	noBatch bool
 }
 
 // inferRes is the frozen ResGen: the body denses with their activation
@@ -212,7 +202,8 @@ func freezeRes(r *ResGen, quant bool) (*inferRes, error) {
 }
 
 // maxCols is the widest dense input among the non-LSTM frozen blocks (the
-// LSTM states carry their own quantization scratch).
+// LSTM states carry their own quantization scratch): the size of the
+// engine's int8 activation scratch.
 func (im *InferModel) maxCols() int {
 	max := im.aggOut.Cols
 	if im.res != nil {
@@ -228,213 +219,20 @@ func (im *InferModel) maxCols() int {
 	return max
 }
 
-// inferState is one generation job's recurrent state and scratch. States
-// are pooled on the InferModel and fully re-initialized per job (RNG
-// reseeded, LSTM states reset per batch), so reuse never leaks one job's
-// randomness into another.
-type inferState struct {
-	src rand.Source64
-	rng *rand.Rand
-
-	node *nn.InferLSTMState
-	agg  *nn.InferLSTMState
-
-	hAvg   []float32 // [BatchLen*Hidden] arena of per-step node sums
-	nCells []int
-	row    []float32 // [nch] current output row (base + residual)
-	head   []float32 // [2*nch] aggOut / res head output
-	bufA   []float32 // res ping-pong buffers, width max(resIn, hidden)
-	bufB   []float32
-	lags   []float32 // [Lags*nch] res lag assembly
-	xq     []int8    // int8 activation scratch for the non-LSTM denses
-}
-
-func (im *InferModel) newState() *inferState {
-	cfg := im.Cfg
-	src := newSource64(0)
-	// Dense outputs land in kernel-width-padded buffers (pad8) so Apply
-	// can always take the blocked column-major fast path; callers only
-	// ever read the logical prefix.
-	pad8 := func(n int) int { return (n + 7) &^ 7 }
-	headW := pad8(2 * im.nch)
-	if p := im.aggOut.PadRows; p > headW {
-		headW = p
-	}
-	st := &inferState{
-		src:    src,
-		rng:    rand.New(src),
-		node:   im.node.NewState(),
-		agg:    im.agg.NewState(),
-		hAvg:   make([]float32, cfg.BatchLen*cfg.Hidden),
-		nCells: make([]int, cfg.BatchLen),
-		row:    make([]float32, im.nch),
-		head:   make([]float32, headW),
-		xq:     make([]int8, im.scratchCols),
-	}
-	if im.res != nil {
-		w := im.res.in
-		if im.res.hidden > w {
-			w = im.res.hidden
-		}
-		for _, sg := range im.res.stages {
-			if sg.d.PadRows > w {
-				w = sg.d.PadRows
-			}
-		}
-		if p := im.res.head.PadRows; p > headW {
-			// res head (2·nch rows) shares st.head with aggOut.
-			headW = p
-			st.head = make([]float32, headW)
-		}
-		st.bufA = make([]float32, w)
-		st.bufB = make([]float32, w)
-		st.lags = make([]float32, cfg.Lags*im.nch)
-	}
-	return st
-}
-
-// GenerateSeeded implements Generator: the frozen mirror of
-// Model.GenerateSeeded, batch for batch. The output is bit-exact across
-// repeated calls for the same (seq, seed) regardless of pooling or
-// concurrency.
+// GenerateSeeded implements Generator: the engine at width 1. The output
+// is bit-exact across repeated calls for the same (seq, seed) regardless
+// of pooling or concurrency, and equal to the same job's GenerateJobs
+// output before denormalization.
 func (im *InferModel) GenerateSeeded(seq *Sequence, seed int64) [][]float64 {
-	st := im.states.Get().(*inferState)
-	st.src.Seed(seed)
-	T := seq.Len()
-	out := make([][]float64, 0, T)
-	for lo := 0; lo < T; lo += im.Cfg.BatchLen {
-		L := im.Cfg.BatchLen
-		if lo+L > T {
-			L = T - lo
-		}
-		out = append(out, im.forwardGen(st, seq, lo, L, out)...)
-	}
-	im.states.Put(st)
-	return out
+	var norm [1][][]float64
+	im.generate([]GenJob{{Seq: seq, Seed: seed}}, norm[:])
+	return norm[0]
 }
 
-// forwardGen mirrors Model.forwardGen on the frozen kernels: per-slot node
-// LSTM over the visible cells, mean-pooled into the aggregation LSTM and
-// output head, plus the autoregressive Gaussian residual, with the same
-// RNG draw schedule as the f64 path (noise dims, modulation, dropout,
-// residual eps — in that order).
-func (im *InferModel) forwardGen(st *inferState, seq *Sequence, lo, L int, teacher [][]float64) [][]float64 {
-	cfg := im.Cfg
-	nch := im.nch
-	H := cfg.Hidden
-	cellDim := cfg.CellDim()
-
-	maxSlots := 0
-	for t := 0; t < L; t++ {
-		if n := len(seq.Cells[lo+t]); n > maxSlots {
-			maxSlots = n
-		}
-	}
-	if maxSlots == 0 {
-		maxSlots = 1
-	}
-	hAvg := st.hAvg[:L*H]
-	for i := range hAvg {
-		hAvg[i] = 0
-	}
-	nCells := st.nCells[:L]
-	for t := range nCells {
-		nCells[t] = 0
-	}
-	for slot := 0; slot < maxSlots; slot++ {
-		im.node.Reset(st.node)
-		for t := 0; t < L; t++ {
-			cellsAtT := seq.Cells[lo+t]
-			in := st.node.Input(im.node.In)
-			if slot < len(cellsAtT) {
-				for k, v := range cellsAtT[slot] {
-					in[k] = float32(v)
-				}
-			} else {
-				for k := 0; k < cellDim; k++ {
-					in[k] = 0
-				}
-			}
-			for z := 0; z < cfg.NoiseDim; z++ {
-				in[cellDim+z] = float32(0.1 * st.rng.NormFloat64())
-			}
-			h := im.node.Step(st.node, st.rng)
-			if slot < len(cellsAtT) || (len(cellsAtT) == 0 && slot == 0) {
-				sum := hAvg[t*H : (t+1)*H]
-				for j, v := range h {
-					sum[j] += v
-				}
-				nCells[t]++
-			}
-		}
-	}
-
-	// Output rows escape to the caller: one fresh backing block per batch.
-	backing := make([]float64, L*nch)
-	out := make([][]float64, L)
-	im.agg.Reset(st.agg)
-	for t := 0; t < L; t++ {
-		avg := hAvg[t*H : (t+1)*H]
-		if n := nCells[t]; n > 0 {
-			for j := range avg {
-				avg[j] /= float32(n)
-			}
-		}
-		copy(st.agg.Input(H), avg)
-		ha := im.agg.Step(st.agg, st.rng)
-		im.aggOut.Apply(ha, st.head, st.xq)
-		row := st.row
-		copy(row, st.head[:nch])
-		if im.res != nil {
-			// Lags over the combined (teacher ++ out[:t]) history, exactly
-			// as the f64 path assembles them; the stored values are
-			// float32-rounded so the widen/narrow round-trip is lossless.
-			lags := st.lags
-			for i := range lags {
-				lags[i] = 0
-			}
-			for l := 0; l < cfg.Lags; l++ {
-				src := lo + t - cfg.Lags + l
-				if src < 0 {
-					continue
-				}
-				dst := lags[l*nch : (l+1)*nch]
-				var from []float64
-				if src < lo {
-					if teacher == nil {
-						continue
-					}
-					from = teacher[src]
-				} else {
-					from = out[src-lo]
-				}
-				for c := 0; c < nch; c++ {
-					dst[c] = float32(from[c])
-				}
-			}
-			im.res.forward(st, seq.Env[lo+t], row)
-		}
-		o := backing[t*nch : (t+1)*nch]
-		for c := range row {
-			o[c] = float64(clamp01f32(row[c]))
-		}
-		out[t] = o
-	}
-	return out
-}
-
-// forward computes one timestep's residual on the frozen kernels and adds
-// the sampled, soft-bounded residual into row. It consumes the same RNG
-// draws as ResGen.Forward: noiseDim normals, one uniform per dropout
-// element, one normal per channel.
-func (r *inferRes) forward(st *inferState, envCtx []float64, row []float32) {
-	r.forwardLane(st.rng, st.bufA, st.bufB, st.lags, st.head, st.xq, envCtx, row)
-}
-
-// forwardLane is forward with the state unbundled, so the batched engine
-// can run it per lane against its own buffers; one implementation serves
-// both execution paths, which is what keeps them bit-identical by
-// construction.
+// forwardLane computes one lane's residual for one timestep on the frozen
+// kernels and adds the sampled, soft-bounded residual into row. It
+// consumes the same RNG draws as ResGen.Forward: noiseDim normals, one
+// uniform per dropout element, one normal per channel.
 func (r *inferRes) forwardLane(rng *rand.Rand, bufA, bufB, lags, head []float32, xq []int8, envCtx []float64, row []float32) {
 	x := bufA
 	k := 0
@@ -499,75 +297,24 @@ func clamp01f32(v float32) float32 {
 }
 
 // GenerateJobs implements Generator: no cloning — every job runs straight
-// on the frozen weights, fanned out over Cfg.Workers. By default jobs run
-// on the lockstep micro-batch engine (batch.go) in chunks of up to
-// batchLanes, which amortizes weight bandwidth across the chunk; the
-// noBatch escape hatch (WithBatch(false)) and singleton chunks take the
-// job-at-a-time path. Both schedules produce bit-identical output per
-// (seq, seed).
+// on the frozen weights, in chunks of lanes() jobs per engine, the chunks
+// fanned out over Cfg.Workers. A job's output does not depend on what
+// shares its chunk.
 func (im *InferModel) GenerateJobs(jobs []GenJob) [][][]float64 {
 	out := make([][][]float64, len(jobs))
-	runOne := func(i int) {
-		out[i] = im.DenormalizeSeries(im.GenerateSeeded(jobs[i].Seq, jobs[i].Seed))
-	}
-	if im.noBatch {
-		W := im.Cfg.Workers
-		if W > len(jobs) {
-			W = len(jobs)
-		}
-		if W <= 1 {
-			for i := range jobs {
-				runOne(i)
-			}
-			return out
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < W; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(jobs); i += W {
-					runOne(i)
-				}
-			}(w)
-		}
-		wg.Wait()
-		return out
-	}
-	nChunks := (len(jobs) + batchLanes - 1) / batchLanes
-	runChunk := func(ci int) {
-		lo := ci * batchLanes
-		hi := lo + batchLanes
+	width := im.lanes()
+	parallelFor(im.Cfg.Workers, (len(jobs)+width-1)/width, func(ci int) {
+		lo := ci * width
+		hi := lo + width
 		if hi > len(jobs) {
 			hi = len(jobs)
 		}
-		if hi-lo == 1 {
-			runOne(lo)
-			return
+		chunk := out[lo:hi]
+		im.generate(jobs[lo:hi], chunk)
+		for i, norm := range chunk {
+			chunk[i] = im.DenormalizeSeries(norm)
 		}
-		im.generateBatch(jobs[lo:hi], out[lo:hi])
-	}
-	W := im.Cfg.Workers
-	if W > nChunks {
-		W = nChunks
-	}
-	if W <= 1 {
-		for ci := 0; ci < nChunks; ci++ {
-			runChunk(ci)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < W; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for ci := w; ci < nChunks; ci += W {
-				runChunk(ci)
-			}
-		}(w)
-	}
-	wg.Wait()
+	})
 	return out
 }
 
@@ -588,7 +335,7 @@ func (im *InferModel) Precision() Precision { return im.prec }
 // Fingerprint implements Generator: the source model's weight fingerprint.
 func (im *InferModel) Fingerprint() uint64 { return im.fp }
 
-// WithWorkers implements Generator; the copy shares weights and the state
+// WithWorkers implements Generator; the copy shares weights and the engine
 // pool.
 func (im *InferModel) WithWorkers(n int) Generator {
 	if n <= 0 || n == im.Cfg.Workers {
@@ -596,18 +343,5 @@ func (im *InferModel) WithWorkers(n int) Generator {
 	}
 	c := *im
 	c.Cfg.Workers = n
-	return &c
-}
-
-// WithBatch returns a view of the same weights with the lockstep batched
-// GenerateJobs engine enabled (the default) or disabled. The view shares
-// weights and pools with the receiver; per-seed outputs are bit-identical
-// on both settings.
-func (im *InferModel) WithBatch(on bool) *InferModel {
-	if im.noBatch == !on {
-		return im
-	}
-	c := *im
-	c.noBatch = !on
 	return &c
 }

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 
 	"gendt/internal/dataset"
+	"gendt/internal/nn"
 )
 
 // freezeFixture trains a tiny model and prepares one held-out sequence.
@@ -74,6 +77,107 @@ func TestFrozenDeterministicPerPrecision(t *testing.T) {
 		direct := im.DenormalizeSeries(im.GenerateSeeded(seq, 42))
 		if !series2Equal(serial[0], direct) {
 			t.Fatalf("%s: GenerateJobs vs direct GenerateSeeded differ", p)
+		}
+	}
+}
+
+// hashSeries is FNV-64a over the IEEE-754 bits of every value of every
+// series, in order.
+func hashSeries(series ...[][]float64) uint64 {
+	h := fnv.New64a()
+	for _, s := range series {
+		for _, row := range s {
+			fnvFloats(h, row)
+		}
+	}
+	return h.Sum64()
+}
+
+// TestFrozenEngineGolden pins the engine to the output of the sequential
+// job-at-a-time frozen path it replaced (InferModel's own per-job window
+// loop over a fused single-lane LSTM step). The constants were captured
+// from that path, at the commit before its removal, on this fixture:
+// GenerateSeeded for two seeds, and the raggedJobs set through
+// GenerateJobs with batching off. The engine must reproduce them at width
+// 1 and at width batchLanes; any drift means a frozen model no longer
+// generates what it did.
+func TestFrozenEngineGolden(t *testing.T) {
+	if !nn.Accelerated() {
+		t.Skip("goldens were captured on the AVX2+FMA kernels; the portable kernels round differently")
+	}
+	m, seq := freezeFixture(t)
+	jobs := raggedJobs(m, seq)
+	seeds := [2]int64{42, 7}
+	for _, tc := range []struct {
+		p      Precision
+		seeded [2]uint64
+		jobs   uint64
+	}{
+		{PrecisionF32, [2]uint64{0x6167ac8763d4f92e, 0xffff2d05df9dc82a}, 0x7a565bcb259f977a},
+		{PrecisionInt8, [2]uint64{0x98261c6cfddd94a0, 0x8438e11ddec2af8}, 0xf17fb781c22252d6},
+	} {
+		im, err := m.Freeze(tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, seed := range seeds {
+			if got := hashSeries(im.GenerateSeeded(seq, seed)); got != tc.seeded[i] {
+				t.Errorf("%s: GenerateSeeded(seed %d) hash = %#x, want %#x", tc.p, seed, got, tc.seeded[i])
+			}
+		}
+		alone := make([][][]float64, len(jobs))
+		for i, j := range jobs {
+			alone[i] = im.DenormalizeSeries(im.GenerateSeeded(j.Seq, j.Seed))
+		}
+		for name, got := range map[string][][][]float64{
+			"width 1":      alone,
+			"width 8":      generateWide(im, jobs),
+			"GenerateJobs": im.WithWorkers(1).GenerateJobs(jobs),
+		} {
+			if h := hashSeries(got...); h != tc.jobs {
+				t.Errorf("%s: ragged jobs at %s hash = %#x, want %#x", tc.p, name, h, tc.jobs)
+			}
+		}
+	}
+}
+
+// TestFrozenCellDimMismatchPanics is the frozen twin of
+// TestLoadAwareDimensionMismatchPanics: a frozen model fed sequences
+// prepared with the wrong per-cell width must fail loudly at admission,
+// in both directions, not write an attribute into a noise slot.
+func TestFrozenCellDimMismatchPanics(t *testing.T) {
+	d := dataset.NewDatasetA(tinyData)
+	chans := RSRPRSRQChannels()
+	run := d.TestRuns()[0]
+	open := PrepareSequenceWith(run, chans, PrepareOptions{MaxCells: 6})
+	aware := PrepareSequenceWith(run, chans, PrepareOptions{MaxCells: 6, LoadAware: true})
+	for _, loadAware := range []bool{true, false} {
+		cfg := tinyConfig(chans)
+		cfg.LoadAware = loadAware
+		m := NewModel(cfg)
+		wrong := open
+		if !loadAware {
+			wrong = aware
+		}
+		for _, p := range []Precision{PrecisionF32, PrecisionInt8} {
+			im, err := m.Freeze(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, gen := range map[string]func(){
+				"GenerateSeeded": func() { im.GenerateSeeded(wrong, 1) },
+				"GenerateJobs":   func() { im.GenerateJobs([]GenJob{{Seq: wrong, Seed: 1}}) },
+			} {
+				func() {
+					defer func() {
+						msg, _ := recover().(string)
+						if !strings.Contains(msg, "cell-attribute dimension mismatch") {
+							t.Errorf("%s LoadAware=%v %s: want a named dimension-mismatch panic, got %q", p, loadAware, name, msg)
+						}
+					}()
+					gen()
+				}()
+			}
 		}
 	}
 }

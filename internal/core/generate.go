@@ -57,65 +57,18 @@ func (m *Model) generate(seq *Sequence, carryLags bool) [][]float64 {
 	return out
 }
 
-// forwardGen mirrors forward but discards backward caches and returns
-// freshly allocated output rows (they escape into the generated series).
-// LSTM state is reset at each batch, matching the training regime (windows
-// always start from zero state). teacher is the generated history before
-// lo used for ResGen lags; nil means independent batches (zero history).
+// forwardGen is forward for generation: same node phase, but it discards
+// backward caches, feeds ResGen the generated history un-perturbed, clamps,
+// and returns freshly allocated output rows (they escape into the
+// generated series). LSTM state is reset at each batch, matching the
+// training regime (windows always start from zero state). teacher is the
+// generated history before lo used for ResGen lags; nil means independent
+// batches (zero history).
 func (m *Model) forwardGen(seq *Sequence, lo, L int, teacher [][]float64) [][]float64 {
 	cfg := m.Cfg
 	nch := len(cfg.Channels)
 
-	maxSlots := 0
-	for t := 0; t < L; t++ {
-		if n := len(seq.Cells[lo+t]); n > maxSlots {
-			maxSlots = n
-		}
-	}
-	if maxSlots == 0 {
-		maxSlots = 1
-	}
-	// Per-step mean node embedding, accumulated in slot order. The sums
-	// must fold in during the slot loop: Step outputs are pooled buffers
-	// that ClearCache recycles at the end of each slot pass.
-	hAvg := rows(m.fc.hAvg, &m.hAvgArena, L, cfg.Hidden)
-	m.fc.hAvg = hAvg
-	nCells := m.fc.nCells
-	if cap(nCells) < L {
-		nCells = make([]int, L)
-	}
-	nCells = nCells[:L]
-	m.fc.nCells = nCells
-	for t := range nCells {
-		nCells[t] = 0
-	}
-	if m.zeroCell == nil {
-		m.zeroCell = make([]float64, cfg.CellDim())
-	}
-	for slot := 0; slot < maxSlots; slot++ {
-		m.node.ResetState()
-		for t := 0; t < L; t++ {
-			cellsAtT := seq.Cells[lo+t]
-			attrs := m.zeroCell
-			if slot < len(cellsAtT) {
-				attrs = cellsAtT[slot]
-			}
-			in := append(m.inBuf[:0], attrs...)
-			for z := 0; z < cfg.NoiseDim; z++ {
-				in = append(in, 0.1*m.rng.NormFloat64())
-			}
-			m.inBuf = in
-			h := m.node.Step(in)
-			if slot < len(cellsAtT) || (len(cellsAtT) == 0 && slot == 0) {
-				sum := hAvg[t]
-				for j, v := range h {
-					sum[j] += v
-				}
-				nCells[t]++
-			}
-		}
-		m.node.ClearCache()
-	}
+	hAvg := m.nodePhase(seq, lo, L, false)
 
 	// Output rows escape to the caller: one fresh backing block per batch.
 	backing := make([]float64, L*nch)
@@ -125,13 +78,7 @@ func (m *Model) forwardGen(seq *Sequence, lo, L int, teacher [][]float64) [][]fl
 	}
 	m.agg.ResetState()
 	for t := 0; t < L; t++ {
-		avg := hAvg[t]
-		if n := nCells[t]; n > 0 {
-			for j := range avg {
-				avg[j] /= float64(n)
-			}
-		}
-		ha := m.agg.Step(avg)
+		ha := m.agg.Step(hAvg[t])
 		base := m.aggOut.Forward(ha)
 		o := backing[t*nch : (t+1)*nch]
 		copy(o, base)
@@ -211,11 +158,7 @@ func denormalizeSeries(channels []ChannelSpec, norm [][]float64) [][]float64 {
 // With Workers <= 1 (or a single item) the items instead run serially on
 // the model itself, preserving the original single-RNG-stream behaviour.
 func (m *Model) fanOut(n int, serial func(i int), parallelItem func(rep *Model, i int)) {
-	W := m.Cfg.Workers
-	if W > n {
-		W = n
-	}
-	if W <= 1 {
+	if m.Cfg.Workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			serial(i)
 		}
@@ -225,14 +168,30 @@ func (m *Model) fanOut(n int, serial func(i int), parallelItem func(rep *Model, 
 	for i := range seeds {
 		seeds[i] = m.rng.Int63()
 	}
+	parallelFor(m.Cfg.Workers, n, func(i int) { parallelItem(m.Clone(seeds[i]), i) })
+}
+
+// parallelFor runs fn(i) for every i in [0, n), striped over at most
+// workers goroutines (inline when that is one), and returns when all are
+// done. Items must be independent; which goroutine runs which is the only
+// thing the width changes.
+func parallelFor(workers, n int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < W; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < n; i += W {
-				rep := m.Clone(seeds[i])
-				parallelItem(rep, i)
+			for i := w; i < n; i += workers {
+				fn(i)
 			}
 		}(w)
 	}
@@ -263,31 +222,10 @@ type GenJob struct {
 // Train), GenerateJobs is safe to call from multiple goroutines at once.
 func (m *Model) GenerateJobs(jobs []GenJob) [][][]float64 {
 	out := make([][][]float64, len(jobs))
-	run := func(i int) {
+	parallelFor(m.Cfg.Workers, len(jobs), func(i int) {
 		rep := m.Clone(jobs[i].Seed)
 		out[i] = rep.DenormalizeSeries(rep.Generate(jobs[i].Seq))
-	}
-	W := m.Cfg.Workers
-	if W > len(jobs) {
-		W = len(jobs)
-	}
-	if W <= 1 {
-		for i := range jobs {
-			run(i)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < W; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(jobs); i += W {
-				run(i)
-			}
-		}(w)
-	}
-	wg.Wait()
+	})
 	return out
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash"
 	"hash/fnv"
 	"math"
 	"testing"
@@ -12,17 +13,22 @@ import (
 // bits, in the stable allParams order), so two models compare bit-for-bit.
 func paramFingerprint(m *Model) uint64 {
 	h := fnv.New64a()
-	var buf [8]byte
 	for _, p := range m.allParams() {
-		for _, w := range p.W {
-			bits := math.Float64bits(w)
-			for i := 0; i < 8; i++ {
-				buf[i] = byte(bits >> (8 * i))
-			}
-			h.Write(buf[:])
-		}
+		fnvFloats(h, p.W)
 	}
 	return h.Sum64()
+}
+
+// fnvFloats feeds the little-endian IEEE-754 bits of each value to h.
+func fnvFloats(h hash.Hash64, vs []float64) {
+	var buf [8]byte
+	for _, v := range vs {
+		bits := math.Float64bits(v)
+		for i := 0; i < 8; i++ {
+			buf[i] = byte(bits >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
 }
 
 func trainTiny(t *testing.T, workers int) (*Model, TrainResult, []*Sequence) {

@@ -71,27 +71,24 @@ func hdrs(hdr [][]float64, n int) [][]float64 {
 	return hdr[:n]
 }
 
-// forward runs the generator over L steps of seq starting at lo, into the
-// model's scratch cache. teacher gives the series used for ResGen lags
-// (the real series during training; the generated history during
-// generation). The per-step mean node embedding is accumulated in slot
-// order, exactly matching the summation order of the original
-// list-then-average implementation, so results are bit-identical.
-func (m *Model) forward(seq *Sequence, lo, L int, teacher [][]float64) *forwardCache {
+// nodePhase runs the GNN-node network over one window and leaves the
+// per-step mean node embedding in m.fc.hAvg (returned) and the visible-cell
+// counts in m.fc.nCells — the part of a window the training and generation
+// forward passes share. keep retains each slot's step caches in
+// m.fc.nodeSeq for backward; generation recycles them instead.
+//
+// Each visible cell at this window gets its own LSTM rollout over the L
+// steps; cells are identified positionally per step (the visible set varies
+// over time, so we roll the network over each step's cell list and average
+// — a mean-aggregation GNN). Implementation: we process "cell slots". Slot
+// i at step t carries the i-th nearest visible cell. Slot sequences run the
+// shared node LSTM across the window, which lets the LSTM track how a given
+// nearby cell evolves (nearest cells keep their slot while dominant). The
+// sums fold in during the slot loop, in slot order — Step outputs are
+// pooled buffers recycled at the end of each slot pass.
+func (m *Model) nodePhase(seq *Sequence, lo, L int, keep bool) [][]float64 {
 	cfg := m.Cfg
-	nch := len(cfg.Channels)
 	fc := &m.fc
-	fc.L, fc.nch = L, nch
-
-	// Per-cell GNN-node passes. Each visible cell at this window gets its
-	// own LSTM rollout over the L steps; cells are identified positionally
-	// per step (the visible set varies over time, so we roll the network
-	// over each step's cell list and average — a mean-aggregation GNN).
-	//
-	// Implementation: we process "cell slots". Slot i at step t carries the
-	// i-th nearest visible cell. Slot sequences run the shared node LSTM
-	// across the window, which lets the LSTM track how a given nearby cell
-	// evolves (nearest cells keep their slot while dominant).
 	maxSlots := 0
 	for t := 0; t < L; t++ {
 		if n := len(seq.Cells[lo+t]); n > maxSlots {
@@ -136,21 +133,41 @@ func (m *Model) forward(seq *Sequence, lo, L int, teacher [][]float64) *forwardC
 				fc.nCells[t]++
 			}
 		}
-		fc.nodeSeq = append(fc.nodeSeq, m.node.TakeSteps())
+		if keep {
+			fc.nodeSeq = append(fc.nodeSeq, m.node.TakeSteps())
+		} else {
+			m.node.ClearCache()
+		}
 	}
-
-	// Aggregation: mean of slot embeddings per step -> aggregation LSTM ->
-	// linear head, giving the context-driven base series.
-	fc.base = hdrs(fc.base, L)
-	m.agg.ResetState()
-	for t := 0; t < L; t++ {
-		avg := fc.hAvg[t]
-		if n := fc.nCells[t]; n > 0 {
+	for t, n := range fc.nCells {
+		if n > 0 {
+			avg := fc.hAvg[t]
 			for j := range avg {
 				avg[j] /= float64(n)
 			}
 		}
-		ha := m.agg.Step(avg)
+	}
+	return fc.hAvg
+}
+
+// forward runs the generator over L steps of seq starting at lo, into the
+// model's scratch cache. teacher gives the series used for ResGen lags
+// (the real series during training; the generated history during
+// generation).
+func (m *Model) forward(seq *Sequence, lo, L int, teacher [][]float64) *forwardCache {
+	cfg := m.Cfg
+	nch := len(cfg.Channels)
+	fc := &m.fc
+	fc.L, fc.nch = L, nch
+
+	m.nodePhase(seq, lo, L, true)
+
+	// Aggregation: mean slot embedding per step -> aggregation LSTM ->
+	// linear head, giving the context-driven base series.
+	fc.base = hdrs(fc.base, L)
+	m.agg.ResetState()
+	for t := 0; t < L; t++ {
+		ha := m.agg.Step(fc.hAvg[t])
 		fc.base[t] = m.aggOut.Forward(ha)
 	}
 

@@ -9,8 +9,8 @@ import (
 // trained float64 layers, shaped for the blocked kernels in kernels.go.
 // Freezing separates weights from state — a FrozenDense/InferLSTM holds
 // only weights and is safe to share across any number of goroutines, while
-// every generation job owns an InferLSTMState — which is what lets the
-// serving path run on one frozen snapshot with zero cloning.
+// every generation engine owns an InferLSTMBatchState — which is what lets
+// the serving path run on one frozen snapshot with zero cloning.
 
 // FrozenDense is an immutable dense weight block with either a float32 or
 // an int8 backend. Exactly one of W and Q is set; Bias (optional) is kept
@@ -59,23 +59,15 @@ func (d *FrozenDense) Apply(x, y []float32, xq []int8) {
 	}
 }
 
-// BatchScratch is reusable scratch for ApplyBatch's int8 backend: the
-// per-lane dynamically quantized activations and their scales. The f32
-// backend never touches it. One scratch per batch state is enough — the
-// contents are dead once the matmul returns.
-type BatchScratch struct {
-	XQ     []int8
-	Scales []float32
-}
-
-// ApplyBatch is the batched Apply: y_b = W·x_b (+ bias) for nb lanes,
-// lane b's input at x[b*xStride:] and output at y[b*yStride:]. The f32
-// backend requires yStride >= PadRows (every batched caller sizes its
-// planes that way); each lane's result is bit-identical to a standalone
-// Apply on the same input, for both backends — the f32 GEMM preserves
-// GemvColF32's per-row accumulation order, and the int8 matmul is exact
-// in int32 with the same dequantization expression and bias loop.
-func (d *FrozenDense) ApplyBatch(x []float32, xStride int, y []float32, yStride, nb int, sc *BatchScratch) {
+// ApplyBatch is Apply over nb lanes: y_b = W·x_b (+ bias), lane b's input
+// at x[b*xStride:] and output at y[b*yStride:]. The f32 backend runs one
+// GEMM that streams the weights once for all lanes and requires yStride >=
+// PadRows (every caller sizes its planes that way); its per-row
+// accumulation order is GemvColF32's, so each lane is bit-identical to a
+// standalone Apply. The int8 backend IS a standalone Apply per lane — a
+// batched int8 matmul measured slower than this loop (BENCH_infer.json) —
+// with xq as its activation scratch.
+func (d *FrozenDense) ApplyBatch(x []float32, xStride int, y []float32, yStride, nb int, xq []int8) {
 	if d.W != nil {
 		if yStride < d.PadRows {
 			panic("nn: ApplyBatch yStride below PadRows")
@@ -83,26 +75,8 @@ func (d *FrozenDense) ApplyBatch(x []float32, xStride int, y []float32, yStride,
 		GemmColF32(d.WT, d.PadRows, d.Cols, x, xStride, d.BiasPad, y, yStride, nb)
 		return
 	}
-	need := nb * d.Cols
-	if cap(sc.XQ) < need {
-		sc.XQ = make([]int8, need)
-	}
-	sc.XQ = sc.XQ[:need]
-	if cap(sc.Scales) < nb {
-		sc.Scales = make([]float32, nb)
-	}
-	sc.Scales = sc.Scales[:nb]
 	for b := 0; b < nb; b++ {
-		sc.Scales[b] = QuantizeVecInt8(x[b*xStride:b*xStride+d.Cols], sc.XQ[b*d.Cols:])
-	}
-	MatVecInt8Batch(d.Q, d.Rows, d.Cols, sc.XQ, d.Cols, d.RowScale, sc.Scales, y, yStride, nb)
-	if d.Bias != nil {
-		for b := 0; b < nb; b++ {
-			yb := y[b*yStride:]
-			for i, bv := range d.Bias[:d.Rows] {
-				yb[i] += bv
-			}
-		}
+		d.Apply(x[b*xStride:], y[b*yStride:], xq)
 	}
 }
 
@@ -139,32 +113,24 @@ func FreezeLinear(l *Linear, quant bool) *FrozenDense {
 	return newFrozenDense(l.W.W, l.Out, l.In, l.B.W, quant)
 }
 
-// InferLSTM is the frozen counterpart of LSTM. The four gate matmuls of a
-// step are fused into one packed [4H × (In+H)] GEMV over xh = [x; h], so
-// the whole weight block streams through cache exactly once per step. The
-// per-row bias column of the trained layout is split out into the dense's
-// float32 Bias (biases must not be quantized away with the weights).
-// Gate rows are restacked [i; f; o; g] — sigmoid gates first — so the
-// step applies the vectorized sigmoid to one contiguous 3H block and the
-// vectorized tanh to the last H.
+// InferLSTM is the frozen counterpart of LSTM. The gate weights are packed
+// [4H × (In+H)] over xh = [x; h] with the trained layout's per-row bias
+// column split out into the dense's float32 Bias (biases must not be
+// quantized away with the weights), and restacked [i; f; o; g] — sigmoid
+// gates first. The stack is frozen as two row blocks, the sigmoid block
+// [i; f; o] (3H rows) and the tanh block g (H rows), so each activation
+// runs as ONE vector call over a contiguous multi-lane plane. Per-row f32
+// packing and per-row int8 quantization are both row-independent, so the
+// split changes no output bit.
 type InferLSTM struct {
 	In, Hidden int
 	AH, AC     float32
 	Noise      bool
-	Gates      *FrozenDense // rows = 4H stacked [i; f; o; g], cols = In+H
-
-	// GatesSig/GatesG are row-slices of the same stacked gate matrix —
-	// the sigmoid block [i; f; o] (3H rows) and the tanh block g (H
-	// rows) — frozen separately so the batched path can run each
-	// activation as ONE vector call over a contiguous multi-lane plane.
-	// Per-row f32 packing and per-row int8 quantization are both
-	// row-independent, so these produce bit-identical outputs to the
-	// corresponding rows of the fused 4H matmul.
-	GatesSig *FrozenDense
-	GatesG   *FrozenDense
+	GatesSig   *FrozenDense // rows = 3H stacked [i; f; o], cols = In+H
+	GatesG     *FrozenDense // rows = H (g), cols = In+H
 }
 
-// FreezeLSTM repacks a trained LSTM's gate weights for the fused kernel.
+// FreezeLSTM repacks a trained LSTM's gate weights for the frozen kernels.
 func FreezeLSTM(l *LSTM, quant bool) *InferLSTM {
 	H := l.Hidden
 	srcCols := l.In + H + 1
@@ -184,100 +150,21 @@ func FreezeLSTM(l *LSTM, quant bool) *InferLSTM {
 	return &InferLSTM{
 		In: l.In, Hidden: H,
 		AH: float32(l.AH), AC: float32(l.AC), Noise: l.NoiseActive,
-		Gates:    newFrozenDense(w64, 4*H, dstCols, bias64, quant),
 		GatesSig: newFrozenDense(w64[:3*H*dstCols], 3*H, dstCols, bias64[:3*H], quant),
 		GatesG:   newFrozenDense(w64[3*H*dstCols:], H, dstCols, bias64[3*H:], quant),
 	}
 }
 
-// InferLSTMState is one job's recurrent state plus step scratch for an
-// InferLSTM. The weights stay in the shared InferLSTM; states are cheap
-// and pooled by the caller. H aliases the tail of xh, so the recurrent
-// input needs no copy per step: Step reads [x; h] directly. C and the
-// activation scratch carry zero padding out to the kernel lane width,
-// which is what lets every activation pass in Step run as a full-width
-// vector call with no scalar tail.
-type InferLSTMState struct {
-	H, C []float32
-	cp   []float32 // C's padded backing (cp[:Hidden] == C, rest zero)
-	tc   []float32 // tanh(C) scratch, padded
-	gt   []float32 // tanh(g-gate) scratch, padded
-	xh   []float32 // packed [x; h] GEMV input; callers write x into Input()
-	z    []float32 // gate pre-activations, padded (see Step's layout note)
-	xq   []int8    // int8 backend activation scratch
-}
-
-// NewState allocates a zeroed state sized for this LSTM.
-func (l *InferLSTM) NewState() *InferLSTMState {
-	H := l.Hidden
-	xh := make([]float32, l.In+H)
-	cp := make([]float32, pad8(H))
-	// z holds the [i; f; o] block rounded up to full lanes, then the g
-	// block with its own lane padding: the sigmoid pass may scribble on
-	// [3H : pad8(3H)) and the g-gate read may run to 3H+pad8(H), so the
-	// two regions must not share lanes with anything live.
-	return &InferLSTMState{
-		H:  xh[l.In : l.In+H : l.In+H],
-		C:  cp[:H:H],
-		cp: cp,
-		tc: make([]float32, pad8(H)),
-		gt: make([]float32, pad8(H)),
-		xh: xh,
-		z:  make([]float32, pad8(3*H)+pad8(H)),
-		xq: make([]int8, l.In+H),
-	}
-}
-
-// Reset zeroes the recurrent state (start of a new batch).
-func (l *InferLSTM) Reset(st *InferLSTMState) {
-	for i := range st.H {
-		st.H[i] = 0
-		st.C[i] = 0
-	}
-}
-
-// Input returns the slice the caller fills with the step input before
-// Step — writing in place avoids a copy per step.
-func (st *InferLSTMState) Input(in int) []float32 { return st.xh[:in] }
-
-// Step advances one timestep: one fused GEMV for all four gates, the
-// vectorized gate activations (one sigmoid pass over [i; f; o], one tanh
-// pass over g, one over the updated cell), the cell update, and (when
-// enabled) the stochastic h/c modulation, mirroring LSTM.Step's float64
-// semantics in float32. The returned slice aliases st.H and is valid
-// until the next Step or Reset on the same state.
-func (l *InferLSTM) Step(st *InferLSTMState, rng *rand.Rand) []float32 {
-	l.Gates.Apply(st.xh, st.z, st.xq) // st.H aliases xh[In:], so xh is [x; h]
-	H := l.Hidden
-	zi, zf, zo := st.z[:H], st.z[H:2*H], st.z[2*H:3*H]
-	// Every activation pass below runs on full 8-lane blocks — the
-	// padded regions of z, cp, tc, and gt absorb the overhang, so no
-	// scalar tail runs even when H is not a multiple of 8. Order
-	// matters: tanh consumes the g block before the sigmoid pass
-	// scribbles on [3H : pad8(3H)).
-	TanhVecF32(st.gt, st.z[3*H:3*H+len(st.gt)])
-	SigmoidVecF32(st.z[:pad8(3*H)])
-	C := st.C
-	for j := 0; j < H; j++ {
-		C[j] = zf[j]*C[j] + zi[j]*st.gt[j]
-	}
-	TanhVecF32(st.tc, st.cp)
-	for j := 0; j < H; j++ {
-		st.H[j] = zo[j] * st.tc[j]
-	}
-	if l.Noise && (l.AH > 0 || l.AC > 0) {
-		ModulateF32(st.H, l.AH, rng)
-		ModulateF32(st.C, l.AC, rng)
-	}
-	return st.H
-}
-
-// InferLSTMBatchState holds the recurrent state and step scratch for nb
-// lockstep generation lanes over one shared InferLSTM. Every per-lane
-// buffer of InferLSTMState becomes a strided plane here — lane b's slice
-// starts at b×stride — so StepBatch can hand whole planes to the batched
-// matmul and run each gate activation as a single vector call across all
-// lanes, instead of nb short calls that each pay the kernel's setup cost.
+// InferLSTMBatchState holds the recurrent state and step scratch for up to
+// nb lockstep generation lanes over one shared InferLSTM. Every per-lane
+// buffer is a strided plane — lane b's slice starts at b×stride — so
+// StepBatch can hand whole planes to the batched matmul and run each gate
+// activation as a single vector call across all lanes, instead of nb short
+// calls that each pay the kernel's setup cost. Each lane's H aliases the
+// tail of its xh, so the recurrent input needs no copy per step, and C and
+// the activation scratch carry zero padding out to the kernel lane width,
+// which is what lets every activation pass run as a full-width vector call
+// with no scalar tail.
 type InferLSTMBatchState struct {
 	nb, in, hid int
 	sx, ph, ps  int       // lane strides: xh, pad8(H), pad8(3H)
@@ -287,7 +174,7 @@ type InferLSTMBatchState struct {
 	gt          []float32 // [nb][pad8(H)] tanh(g) scratch
 	zsig        []float32 // [nb][pad8(3H)] [i; f; o] pre-activations
 	zg          []float32 // [nb][pad8(H)] g pre-activations
-	sc          BatchScratch
+	xq          []int8    // [In+H] int8 backend activation scratch
 }
 
 // NewBatchState allocates a zeroed nb-lane batch state for this LSTM.
@@ -303,14 +190,12 @@ func (l *InferLSTM) NewBatchState(nb int) *InferLSTMBatchState {
 	st.gt = make([]float32, nb*st.ph)
 	st.zsig = make([]float32, nb*st.ps)
 	st.zg = make([]float32, nb*st.ph)
+	st.xq = make([]int8, st.sx)
 	return st
 }
 
-// Lanes reports the state's capacity in lanes.
-func (st *InferLSTMBatchState) Lanes() int { return st.nb }
-
-// Input returns lane b's step-input slice (written in place, like
-// InferLSTMState.Input).
+// Input returns the slice the caller fills with lane b's step input before
+// StepBatch — writing in place avoids a copy per step.
 func (st *InferLSTMBatchState) Input(b int) []float32 {
 	return st.xh[b*st.sx : b*st.sx+st.in]
 }
@@ -343,28 +228,29 @@ func (st *InferLSTMBatchState) ResetLane(b int) {
 	}
 }
 
-// StepBatch advances nb lanes one timestep in lockstep: two batched
-// matmuls (the [i; f; o] sigmoid block and the g tanh block, each
-// streaming the weights once for the whole batch), one vectorized tanh /
-// sigmoid pass per activation over the full multi-lane plane, then the
-// per-lane cell/hidden updates and stochastic modulation. active[b]
-// false freezes lane b: its gate pre-activations are still computed (the
-// GEMM is cheaper run dense than masked, and the results are simply
-// never read) but its C/H stay untouched and its rng draws nothing, so a
-// retired lane's state and RNG schedule are exactly as its last real
-// step left them. active == nil means all lanes live. Each live lane's
-// H/C after the call are bit-identical to a sequential Step with the
-// same inputs, state, and rng.
+// StepBatch advances nb lanes one timestep in lockstep, mirroring
+// LSTM.Step's float64 semantics in float32: two batched matmuls (the
+// [i; f; o] sigmoid block and the g tanh block, each streaming the weights
+// once for the whole batch), one vectorized tanh / sigmoid pass per
+// activation over the full multi-lane plane, then the per-lane cell/hidden
+// updates and stochastic modulation. active[b] false freezes lane b: its
+// gate pre-activations are still computed (the GEMM is cheaper run dense
+// than masked, and the results are simply never read) but its C/H stay
+// untouched and its rng draws nothing, so a retired lane's state and RNG
+// schedule are exactly as its last real step left them. active == nil
+// means all lanes live. A lane's arithmetic never depends on nb or on its
+// neighbours, so its H/C after the call are bit-identical to stepping the
+// same inputs, state, and rng alone at nb = 1.
 func (l *InferLSTM) StepBatch(st *InferLSTMBatchState, nb int, active []bool, rngs []*rand.Rand) {
 	if nb > st.nb {
 		panic("nn: StepBatch lane count exceeds state capacity")
 	}
 	H := l.Hidden
-	l.GatesSig.ApplyBatch(st.xh, st.sx, st.zsig, st.ps, nb, &st.sc)
-	l.GatesG.ApplyBatch(st.xh, st.sx, st.zg, st.ph, nb, &st.sc)
-	// One activation call per plane. Pad lanes hold matmul zeros (f32) or
-	// stale scratch; the activations write dead values there that nothing
-	// reads — same contract as the sequential path's padded z regions.
+	l.GatesSig.ApplyBatch(st.xh, st.sx, st.zsig, st.ps, nb, st.xq)
+	l.GatesG.ApplyBatch(st.xh, st.sx, st.zg, st.ph, nb, st.xq)
+	// One activation call per plane, on full 8-lane blocks. Pad lanes hold
+	// matmul zeros (f32) or stale scratch; the activations write dead
+	// values there that nothing reads.
 	TanhVecF32(st.gt[:nb*st.ph], st.zg[:nb*st.ph])
 	SigmoidVecF32(st.zsig[:nb*st.ps])
 	for b := 0; b < nb; b++ {

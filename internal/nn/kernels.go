@@ -56,6 +56,12 @@ func MatVecF32(a []float32, rows, cols int, x, y []float32) {
 // register).
 func pad8(n int) int { return (n + 7) &^ 7 }
 
+// Accelerated reports whether the AVX2+FMA assembly kernels are in use.
+// The portable kernels compute the same function but round differently
+// (no fused multiply-add), so output pinned bit-for-bit holds on one path
+// only.
+func Accelerated() bool { return useAVX }
+
 // GemvColF32 computes y[0:rows8] = bias[0:rows8] + W·x over a
 // column-major weight mirror: wt holds cols consecutive blocks of rows8
 // float32s, block c being column c of W padded with zero rows to
@@ -129,74 +135,6 @@ func GemmColF32(wt []float32, rows8, cols int, x []float32, xStride int, bias, y
 			for r, w := range col {
 				yb[r] += w * xv
 			}
-		}
-	}
-}
-
-// MatVecInt8Batch is the batched MatVecInt8: nb quantized input lanes
-// against one weight block, each weight row streamed once per batch
-// instead of once per lane. Lane b reads xq[b*xqStride:] with its own
-// activation scale xScales[b]. Accumulation is exact in int32 and the
-// dequantization expression matches MatVecInt8's, so each lane's output
-// is bit-identical to a standalone MatVecInt8 call.
-func MatVecInt8Batch(q []int8, rows, cols int, xq []int8, xqStride int, rowScale []float32, xScales []float32, y []float32, yStride, nb int) {
-	if len(q) < rows*cols || xqStride < cols || yStride < rows || len(rowScale) < rows {
-		panic("nn: MatVecInt8Batch dimension mismatch")
-	}
-	if nb <= 0 || rows == 0 || cols == 0 {
-		return
-	}
-	if len(xq) < (nb-1)*xqStride+cols || len(xScales) < nb || len(y) < (nb-1)*yStride+rows {
-		panic("nn: MatVecInt8Batch dimension mismatch")
-	}
-	// Same 4-row blocking as MatVecInt8 (4 independent accumulators per
-	// lane), lane-mid so each 4-row weight tile is reused across the whole
-	// batch from cache. Exact int32 accumulation makes the op order free.
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		r0 := q[(r+0)*cols : (r+1)*cols]
-		r1 := q[(r+1)*cols : (r+2)*cols]
-		r2 := q[(r+2)*cols : (r+3)*cols]
-		r3 := q[(r+3)*cols : (r+4)*cols]
-		for b := 0; b < nb; b++ {
-			xb := xq[b*xqStride : b*xqStride+cols]
-			var s0, s1, s2, s3 int32
-			c := 0
-			for ; c+4 <= cols; c += 4 {
-				x0 := int32(xb[c])
-				x1 := int32(xb[c+1])
-				x2 := int32(xb[c+2])
-				x3 := int32(xb[c+3])
-				s0 += int32(r0[c])*x0 + int32(r0[c+1])*x1 + int32(r0[c+2])*x2 + int32(r0[c+3])*x3
-				s1 += int32(r1[c])*x0 + int32(r1[c+1])*x1 + int32(r1[c+2])*x2 + int32(r1[c+3])*x3
-				s2 += int32(r2[c])*x0 + int32(r2[c+1])*x1 + int32(r2[c+2])*x2 + int32(r2[c+3])*x3
-				s3 += int32(r3[c])*x0 + int32(r3[c+1])*x1 + int32(r3[c+2])*x2 + int32(r3[c+3])*x3
-			}
-			for ; c < cols; c++ {
-				xv := int32(xb[c])
-				s0 += int32(r0[c]) * xv
-				s1 += int32(r1[c]) * xv
-				s2 += int32(r2[c]) * xv
-				s3 += int32(r3[c]) * xv
-			}
-			xs := xScales[b]
-			yb := y[b*yStride:]
-			yb[r+0] = float32(s0) * rowScale[r+0] * xs
-			yb[r+1] = float32(s1) * rowScale[r+1] * xs
-			yb[r+2] = float32(s2) * rowScale[r+2] * xs
-			yb[r+3] = float32(s3) * rowScale[r+3] * xs
-		}
-	}
-	for ; r < rows; r++ {
-		row := q[r*cols : (r+1)*cols]
-		rs := rowScale[r]
-		for b := 0; b < nb; b++ {
-			xb := xq[b*xqStride : b*xqStride+cols]
-			var s int32
-			for c, xv := range xb {
-				s += int32(row[c]) * int32(xv)
-			}
-			y[b*yStride+r] = float32(s) * rs * xScales[b]
 		}
 	}
 }

@@ -279,29 +279,40 @@ func TestFrozenDenseMatchesLinear(t *testing.T) {
 	l.ClearCache()
 }
 
-// TestFreezeLSTMStepMatchesF64: one frozen step must track the float64
-// LSTM step closely with noise off (bit-exact is not expected — f32).
+// TestFreezeLSTMStepMatchesF64: a frozen step must track the float64 LSTM
+// step closely with noise off (bit-exact is not expected — f32), in every
+// lane of an 8-lane StepBatch and in the same lane alone at width 1.
 func TestFreezeLSTMStepMatchesF64(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	l := NewLSTM(5, 9, rng)
 	l.NoiseActive = false
 	fr := FreezeLSTM(l, false)
-	st := fr.NewState()
-	fr.Reset(st)
+	const nb = 8
+	wide, alone := fr.NewBatchState(nb), fr.NewBatchState(1)
 	l.ResetState()
 
 	for step := 0; step < 6; step++ {
 		x64 := make([]float64, 5)
-		in := st.Input(5)
+		in := alone.Input(0)
 		for i := range x64 {
 			x64[i] = rng.NormFloat64()
 			in[i] = float32(x64[i])
 		}
+		for b := 0; b < nb; b++ {
+			copy(wide.Input(b), in)
+		}
 		h64 := l.Step(x64)
-		h32 := fr.Step(st, nil)
+		fr.StepBatch(alone, 1, nil, nil)
+		fr.StepBatch(wide, nb, nil, nil)
+		h32 := alone.H(0)
 		for j := range h64 {
 			if diff := math.Abs(h64[j] - float64(h32[j])); diff > 1e-4 {
 				t.Fatalf("step %d hidden %d: f64 %v vs frozen %v", step, j, h64[j], h32[j])
+			}
+			for b := 0; b < nb; b++ {
+				if wide.H(b)[j] != h32[j] {
+					t.Fatalf("step %d hidden %d: lane %d of %d %v vs alone %v", step, j, b, nb, wide.H(b)[j], h32[j])
+				}
 			}
 		}
 	}
