@@ -41,6 +41,7 @@ import (
 	"gendt/internal/core"
 	"gendt/internal/dataset"
 	"gendt/internal/rollout"
+	"gendt/internal/scenario"
 	"gendt/internal/validate"
 )
 
@@ -54,7 +55,7 @@ func main() {
 	modelName := flag.String("model", "", "registered model name on the replicas (empty = single-model default)")
 
 	golden := flag.String("golden", "", "golden tolerance file for the statistical gate")
-	which := flag.String("dataset", "A", "dataset: A or B (must match the fleet's world)")
+	which := flag.String("dataset", "A", "dataset world, a registered scenario name: "+strings.Join(scenario.Names(), ", ")+" (must match the fleet's world)")
 	scale := flag.Float64("scale", 0.05, "dataset scale (must match the fleet's world)")
 	seed := flag.Int64("seed", 1, "validation seed for the gate")
 	routes := flag.Int("routes", 4, "held-out routes for the gate's distributional pass")

@@ -21,10 +21,14 @@ import (
 //   - the batched f32 kernel keeps the single-lane kernel's per-row
 //     accumulation order exactly (see nn.GemmColF32), and the int8 matmul
 //     is per lane;
-//   - every lane owns its RNG, and the phase order (node slots outer /
-//     timesteps inner, then per-timestep agg + residual) walks each lane's
-//     draws in one fixed order: noise dims, modulation, dropout, residual
-//     eps — the f64 path's schedule (paper §A.2);
+//   - every lane owns its random stream (an nn.LaneSource, math/rand's
+//     seeded generator drawn a block at a time), and the phase order (node
+//     slots outer / timesteps inner, then per-timestep agg + residual) walks
+//     each lane's draws in one fixed order: noise dims, modulation, dropout,
+//     residual eps — the f64 path's schedule (paper §A.2). Steps that draw
+//     for several lanes (the modulation sweep, the residual head) take each
+//     lane's values from that lane's stream only, so the order in which
+//     lanes are visited is free;
 //   - retired lanes are frozen via active masks — their state is not
 //     touched and their RNG draws nothing — rather than padded with work.
 //
@@ -40,8 +44,8 @@ import (
 const batchLanes = 8
 
 // lanes is the width GenerateJobs chunks to. f32 chunks fill the engine:
-// the batched GEMM is where its gain comes from (1.2× per lane-step at 8
-// wide). int8 has no batched kernel — it measured 0.87× of per-lane and
+// the batched GEMM and the cross-lane modulation sweep are where its gain
+// comes from (1.6× per lane-step at 8 wide). int8 has no batched kernel — it measured 0.87× of per-lane and
 // was removed (BENCH_infer.json) — so extra lanes would only serialize jobs
 // that the worker pool can run side by side.
 func (im *InferModel) lanes() int {
@@ -51,30 +55,25 @@ func (im *InferModel) lanes() int {
 	return batchLanes
 }
 
-// batchLane is one job's private half of the engine: its RNG, its
-// sequence, its accumulated output rows (also the lag history), and the
-// per-lane scratch that has no batched equivalent.
+// batchLane is one job's private half of the engine: its random stream,
+// its sequence, its output (also the lag history), and the per-lane scratch
+// that has no batched equivalent.
 type batchLane struct {
-	src rand.Source64
-	rng *rand.Rand
+	rng *rand.Rand // NormFloat64 draws, on the lane's source in inferBatch.srcs
 	seq *Sequence
 	T   int
 
-	out     [][]float64 // normalized rows generated so far
-	backing []float64   // current window's output backing
+	out []float64 // [T*nch] normalized rows, one backing per job
 
 	hAvg   []float32 // [BatchLen*Hidden] per-step node-state sums
 	nCells []int
 	row    []float32 // [nch] current output row
-	bufA   []float32 // residual ping-pong buffers
-	bufB   []float32
-	lags   []float32 // [Lags*nch] residual lag assembly
 }
 
 // inferBatch is a pooled engine: the shared batched LSTM states, the
-// shared output-head plane, and batchLanes lanes. Engines are fully
-// re-initialized per call (RNGs reseeded, LSTM lanes reset per window), so
-// reuse never leaks one job's randomness into another.
+// shared output-head and residual planes, and batchLanes lanes. Engines are
+// fully re-initialized per call (RNGs reseeded, LSTM lanes reset per
+// window), so reuse never leaks one job's randomness into another.
 type inferBatch struct {
 	node *nn.InferLSTMBatchState
 	agg  *nn.InferLSTMBatchState
@@ -83,12 +82,19 @@ type inferBatch struct {
 	head  []float32 // [batchLanes][headW] aggOut / residual-head plane
 	xq    []int8    // int8 activation scratch for the non-LSTM denses
 
+	resW       int
+	resA, resB []float32 // [batchLanes][resW] residual body ping-pong planes
+	drop       []float64 // [res.hidden] one lane's dropout uniforms
+
 	lanes    [batchLanes]*batchLane
 	order    []int  // job index per lane, descending by sequence length
 	act      []bool // node-phase per-(slot,t) active mask
 	maxSlots []int  // per-lane visible-cell slot count, current window
 	winL     []int  // per-lane window length
-	rngs     []*rand.Rand
+
+	// srcs is each lane's random stream: the bulk uniform fills draw from
+	// it directly, the lane's rand.Rand (NormFloat64) sits on top of it.
+	srcs []*nn.LaneSource
 }
 
 func (im *InferModel) newBatch() *inferBatch {
@@ -116,33 +122,28 @@ func (im *InferModel) newBatch() *inferBatch {
 		act:      make([]bool, batchLanes),
 		maxSlots: make([]int, batchLanes),
 		winL:     make([]int, batchLanes),
-		rngs:     make([]*rand.Rand, batchLanes),
+		srcs:     make([]*nn.LaneSource, batchLanes),
+	}
+	if im.res != nil {
+		w := im.res.in
+		for _, sg := range im.res.stages {
+			if sg.d.PadRows > w {
+				w = sg.d.PadRows
+			}
+		}
+		eng.resW = w
+		eng.resA = make([]float32, batchLanes*w)
+		eng.resB = make([]float32, batchLanes*w)
+		eng.drop = make([]float64, im.res.hidden)
 	}
 	for b := range eng.lanes {
-		src := newSource64(0)
-		ln := &batchLane{
-			src:    src,
-			rng:    rand.New(src),
+		eng.srcs[b] = nn.NewLaneSource(0)
+		eng.lanes[b] = &batchLane{
+			rng:    rand.New(eng.srcs[b]),
 			hAvg:   make([]float32, cfg.BatchLen*cfg.Hidden),
 			nCells: make([]int, cfg.BatchLen),
 			row:    make([]float32, im.nch),
 		}
-		if im.res != nil {
-			w := im.res.in
-			if im.res.hidden > w {
-				w = im.res.hidden
-			}
-			for _, sg := range im.res.stages {
-				if sg.d.PadRows > w {
-					w = sg.d.PadRows
-				}
-			}
-			ln.bufA = make([]float32, w)
-			ln.bufB = make([]float32, w)
-			ln.lags = make([]float32, cfg.Lags*im.nch)
-		}
-		eng.lanes[b] = ln
-		eng.rngs[b] = ln.rng
 	}
 	return eng
 }
@@ -165,8 +166,9 @@ func (im *InferModel) checkCellDim(seq *Sequence) {
 }
 
 // generate runs len(jobs) (1..batchLanes) jobs in lockstep and stores each
-// job's normalized [T][nch] series in norm at the job's own index.
-func (im *InferModel) generate(jobs []GenJob, norm [][][]float64) {
+// job's normalized series, row-major [T*nch] in one allocation, in norm at
+// the job's own index.
+func (im *InferModel) generate(jobs []GenJob, norm [][]float64) {
 	eng := im.batches.Get().(*inferBatch)
 	nb := len(jobs)
 	// Longest sequences first (stable insertion — at most batchLanes
@@ -187,8 +189,8 @@ func (im *InferModel) generate(jobs []GenJob, norm [][][]float64) {
 		ln := eng.lanes[b]
 		ln.seq = j.Seq
 		ln.T = j.Seq.Len()
-		ln.src.Seed(j.Seed)
-		ln.out = make([][]float64, 0, ln.T)
+		eng.srcs[b].Seed(j.Seed)
+		ln.out = make([]float64, ln.T*im.nch)
 	}
 	for lo := 0; lo < eng.lanes[0].T; lo += im.Cfg.BatchLen {
 		nbw := 0
@@ -200,7 +202,7 @@ func (im *InferModel) generate(jobs []GenJob, norm [][][]float64) {
 	for b, ji := range eng.order {
 		ln := eng.lanes[b]
 		norm[ji] = ln.out
-		ln.seq, ln.out, ln.backing = nil, nil, nil
+		ln.seq, ln.out = nil, nil
 	}
 	im.batches.Put(eng)
 }
@@ -296,7 +298,7 @@ func (im *InferModel) batchWindow(eng *inferBatch, nbw, lo int) {
 					in[cellDim+z] = float32(0.1 * ln.rng.NormFloat64())
 				}
 			}
-			im.node.StepBatch(eng.node, hi+1, eng.act, eng.rngs)
+			im.node.StepBatch(eng.node, hi+1, eng.act, eng.srcs)
 			for b := 0; b <= hi; b++ {
 				if !eng.act[b] {
 					continue
@@ -316,11 +318,10 @@ func (im *InferModel) batchWindow(eng *inferBatch, nbw, lo int) {
 
 	// Aggregation + residual phase. Retirement here is a pure prefix
 	// shrink (window lengths are sorted), so no masks: each timestep's
-	// batched agg step and output-head matmul cover exactly the live
-	// lanes.
+	// batched agg step, output-head matmul and residual head cover exactly
+	// the live lanes.
 	for b := 0; b < nbw; b++ {
 		eng.agg.ResetLane(b)
-		eng.lanes[b].backing = make([]float64, eng.winL[b]*nch)
 	}
 	aggH, aggStride := eng.agg.HPlane()
 	for t := 0; t < Lw; t++ {
@@ -341,39 +342,106 @@ func (im *InferModel) batchWindow(eng *inferBatch, nbw, lo int) {
 			}
 			copy(eng.agg.Input(b), avg)
 		}
-		im.agg.StepBatch(eng.agg, nbt, nil, eng.rngs)
+		im.agg.StepBatch(eng.agg, nbt, nil, eng.srcs)
 		im.aggOut.ApplyBatch(aggH, aggStride, eng.head, eng.headW, nbt, eng.xq)
 		for b := 0; b < nbt; b++ {
+			copy(eng.lanes[b].row, eng.head[b*eng.headW:])
+		}
+		if im.res != nil {
+			im.res.forward(eng, nbt, lo+t)
+		}
+		for b := 0; b < nbt; b++ {
 			ln := eng.lanes[b]
-			head := eng.head[b*eng.headW : (b+1)*eng.headW]
-			row := ln.row
-			copy(row, head[:nch])
-			if im.res != nil {
-				// Lags over the generated history: ln.out holds every row
-				// before lo+t, and the stored values are float32-rounded,
-				// so the widen/narrow round-trip is lossless.
-				lags := ln.lags
-				for i := range lags {
-					lags[i] = 0
-				}
-				for l := 0; l < cfg.Lags; l++ {
-					src := lo + t - cfg.Lags + l
-					if src < 0 {
-						continue
-					}
-					from := ln.out[src]
-					dst := lags[l*nch : (l+1)*nch]
-					for c := 0; c < nch; c++ {
-						dst[c] = float32(from[c])
-					}
-				}
-				im.res.forwardLane(ln.rng, ln.bufA, ln.bufB, lags, head, eng.xq, ln.seq.Env[lo+t], row)
+			o := ln.out[(lo+t)*nch : (lo+t+1)*nch]
+			for c, v := range ln.row {
+				o[c] = float64(clamp01f32(v))
 			}
-			o := ln.backing[t*nch : (t+1)*nch]
-			for c := range row {
-				o[c] = float64(clamp01f32(row[c]))
+		}
+	}
+}
+
+// forward adds timestep at's sampled, soft-bounded residual into the row of
+// each of the nbt live lanes, the body and head denses running once over
+// the live prefix on the engine's shared planes. Each lane's stream gives up
+// the same draws as ResGen.Forward, in its order: noiseDim normals, one
+// uniform per dropout element, one normal per channel.
+func (r *inferRes) forward(eng *inferBatch, nbt, at int) {
+	w := eng.resW
+	for b := 0; b < nbt; b++ {
+		ln := eng.lanes[b]
+		x := eng.resA[b*w : b*w+r.in]
+		k := 0
+		for _, v := range ln.seq.Env[at] {
+			x[k] = float32(v)
+			k++
+		}
+		for i := 0; i < r.noiseDim; i++ {
+			x[k] = float32(ln.rng.NormFloat64())
+			k++
+		}
+		// Lags over the generated history, oldest first, zero before the
+		// sequence start. The rows before at are contiguous in ln.out, and
+		// the stored values are float32-rounded, so narrowing is lossless.
+		lags := x[k:]
+		first := at - r.lags
+		pad := 0
+		if first < 0 {
+			pad, first = -first*r.nch, 0
+		}
+		for i := range lags[:pad] {
+			lags[i] = 0
+		}
+		for i, v := range ln.out[first*r.nch : at*r.nch] {
+			lags[pad+i] = float32(v)
+		}
+	}
+	cur, nxt := eng.resA, eng.resB
+	for _, sg := range r.stages {
+		sg.d.ApplyBatch(cur, w, nxt, w, nbt, eng.xq)
+		if sg.alpha != 0 {
+			for b := 0; b < nbt; b++ {
+				y := nxt[b*w : b*w+sg.d.Rows]
+				for i, v := range y {
+					if v < 0 {
+						y[i] = v * sg.alpha
+					}
+				}
 			}
-			ln.out = append(ln.out, o)
+		}
+		cur, nxt = nxt, cur
+	}
+	if r.dropP > 0 {
+		// MC dropout stays active at generation time (paper §6.2.1).
+		keep := 1 - r.dropP
+		keep32 := float32(keep)
+		for b := 0; b < nbt; b++ {
+			eng.srcs[b].Float64s(eng.drop)
+			h := cur[b*w : b*w+r.hidden]
+			for i, u := range eng.drop {
+				if u < keep {
+					h[i] /= keep32
+				} else {
+					h[i] = 0
+				}
+			}
+		}
+	}
+	r.head.ApplyBatch(cur, w, eng.head, eng.headW, nbt, eng.xq)
+	for b := 0; b < nbt; b++ {
+		ln := eng.lanes[b]
+		head := eng.head[b*eng.headW:]
+		for c := 0; c < r.nch; c++ {
+			mu := head[c]
+			ls := head[r.nch+c]
+			if ls < -6 {
+				ls = -6
+			} else if ls > 3 {
+				ls = 3
+			}
+			eps := float32(ln.rng.NormFloat64())
+			raw := mu + nn.ExpF32(ls)*eps
+			th := nn.TanhF32(raw / ResBound)
+			ln.row[c] += ResBound * th
 		}
 	}
 }

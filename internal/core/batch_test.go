@@ -48,9 +48,10 @@ func generateWide(im *InferModel, jobs []GenJob) [][][]float64 {
 		if hi > len(jobs) {
 			hi = len(jobs)
 		}
-		im.generate(jobs[lo:hi], out[lo:hi])
-		for i := lo; i < hi; i++ {
-			out[i] = im.DenormalizeSeries(out[i])
+		norm := make([][]float64, hi-lo)
+		im.generate(jobs[lo:hi], norm)
+		for i, flat := range norm {
+			out[lo+i] = denormalizeFlat(im.Cfg.Channels, flat)
 		}
 	}
 	return out

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"gendt/internal/nn"
@@ -224,66 +223,13 @@ func (im *InferModel) maxCols() int {
 // of pooling or concurrency, and equal to the same job's GenerateJobs
 // output before denormalization.
 func (im *InferModel) GenerateSeeded(seq *Sequence, seed int64) [][]float64 {
-	var norm [1][][]float64
+	var norm [1][]float64
 	im.generate([]GenJob{{Seq: seq, Seed: seed}}, norm[:])
-	return norm[0]
-}
-
-// forwardLane computes one lane's residual for one timestep on the frozen
-// kernels and adds the sampled, soft-bounded residual into row. It
-// consumes the same RNG draws as ResGen.Forward: noiseDim normals, one
-// uniform per dropout element, one normal per channel.
-func (r *inferRes) forwardLane(rng *rand.Rand, bufA, bufB, lags, head []float32, xq []int8, envCtx []float64, row []float32) {
-	x := bufA
-	k := 0
-	for _, v := range envCtx {
-		x[k] = float32(v)
-		k++
+	rows := make([][]float64, seq.Len())
+	for t := range rows {
+		rows[t] = norm[0][t*im.nch : (t+1)*im.nch : (t+1)*im.nch]
 	}
-	for i := 0; i < r.noiseDim; i++ {
-		x[k] = float32(rng.NormFloat64())
-		k++
-	}
-	copy(x[k:r.in], lags)
-	cur, nxt := bufA, bufB
-	for _, sg := range r.stages {
-		sg.d.Apply(cur, nxt, xq)
-		if sg.alpha != 0 {
-			for i := 0; i < sg.d.Rows; i++ {
-				if nxt[i] < 0 {
-					nxt[i] *= sg.alpha
-				}
-			}
-		}
-		cur, nxt = nxt, cur
-	}
-	h := cur[:r.hidden]
-	if r.dropP > 0 {
-		// MC dropout stays active at generation time (paper §6.2.1).
-		keep := 1 - r.dropP
-		keep32 := float32(keep)
-		for i := range h {
-			if rng.Float64() < keep {
-				h[i] /= keep32
-			} else {
-				h[i] = 0
-			}
-		}
-	}
-	r.head.Apply(h, head, xq)
-	for c := 0; c < r.nch; c++ {
-		mu := head[c]
-		ls := head[r.nch+c]
-		if ls < -6 {
-			ls = -6
-		} else if ls > 3 {
-			ls = 3
-		}
-		eps := float32(rng.NormFloat64())
-		raw := mu + nn.ExpF32(ls)*eps
-		th := nn.TanhF32(raw / ResBound)
-		row[c] += ResBound * th
-	}
+	return rows
 }
 
 func clamp01f32(v float32) float32 {
@@ -309,10 +255,10 @@ func (im *InferModel) GenerateJobs(jobs []GenJob) [][][]float64 {
 		if hi > len(jobs) {
 			hi = len(jobs)
 		}
-		chunk := out[lo:hi]
-		im.generate(jobs[lo:hi], chunk)
-		for i, norm := range chunk {
-			chunk[i] = im.DenormalizeSeries(norm)
+		var norm [batchLanes][]float64
+		im.generate(jobs[lo:hi], norm[:hi-lo])
+		for i, flat := range norm[:hi-lo] {
+			out[lo+i] = denormalizeFlat(im.Cfg.Channels, flat)
 		}
 	})
 	return out

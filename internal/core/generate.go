@@ -151,6 +151,22 @@ func denormalizeSeries(channels []ChannelSpec, norm [][]float64) [][]float64 {
 	return out
 }
 
+// denormalizeFlat is denormalizeSeries over a row-major [T*nch] series (the
+// frozen engine's per-job output), with the channels sharing one backing.
+func denormalizeFlat(channels []ChannelSpec, flat []float64) [][]float64 {
+	nch := len(channels)
+	T := len(flat) / nch
+	out := make([][]float64, nch)
+	backing := make([]float64, nch*T)
+	for c := range out {
+		out[c] = backing[c*T : (c+1)*T : (c+1)*T]
+		for t := range out[c] {
+			out[c][t] = channels[c].Denormalize(flat[t*nch+c])
+		}
+	}
+	return out
+}
+
 // fanOut runs n independent generation-side work items across the model's
 // worker pool. Each item gets a deterministic seed drawn upfront from the
 // primary RNG and a fresh model clone, so the set of outputs depends only

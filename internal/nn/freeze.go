@@ -1,10 +1,5 @@
 package nn
 
-import (
-	"math"
-	"math/rand"
-)
-
 // Frozen inference layers: immutable float32 (or int8) snapshots of the
 // trained float64 layers, shaped for the blocked kernels in kernels.go.
 // Freezing separates weights from state — a FrozenDense/InferLSTM holds
@@ -175,6 +170,13 @@ type InferLSTMBatchState struct {
 	zsig        []float32 // [nb][pad8(3H)] [i; f; o] pre-activations
 	zg          []float32 // [nb][pad8(H)] g pre-activations
 	xq          []int8    // [In+H] int8 backend activation scratch
+
+	// One step's modulation work: the vectors the sweep runs over — up to
+	// two, h and C, per live lane — with their intensities, and their
+	// centred uniforms back to back in the same order.
+	mv [][]float32
+	ma []float32
+	un []float32 // [2nb][H]
 }
 
 // NewBatchState allocates a zeroed nb-lane batch state for this LSTM.
@@ -191,6 +193,9 @@ func (l *InferLSTM) NewBatchState(nb int) *InferLSTMBatchState {
 	st.zsig = make([]float32, nb*st.ps)
 	st.zg = make([]float32, nb*st.ph)
 	st.xq = make([]int8, st.sx)
+	st.mv = make([][]float32, 0, 2*nb)
+	st.ma = make([]float32, 0, 2*nb)
+	st.un = make([]float32, 2*nb*H)
 	return st
 }
 
@@ -232,16 +237,17 @@ func (st *InferLSTMBatchState) ResetLane(b int) {
 // LSTM.Step's float64 semantics in float32: two batched matmuls (the
 // [i; f; o] sigmoid block and the g tanh block, each streaming the weights
 // once for the whole batch), one vectorized tanh / sigmoid pass per
-// activation over the full multi-lane plane, then the per-lane cell/hidden
-// updates and stochastic modulation. active[b] false freezes lane b: its
-// gate pre-activations are still computed (the GEMM is cheaper run dense
-// than masked, and the results are simply never read) but its C/H stay
-// untouched and its rng draws nothing, so a retired lane's state and RNG
-// schedule are exactly as its last real step left them. active == nil
-// means all lanes live. A lane's arithmetic never depends on nb or on its
-// neighbours, so its H/C after the call are bit-identical to stepping the
-// same inputs, state, and rng alone at nb = 1.
-func (l *InferLSTM) StepBatch(st *InferLSTMBatchState, nb int, active []bool, rngs []*rand.Rand) {
+// activation over the full multi-lane plane, the per-lane cell/hidden
+// updates, then the stochastic modulation of every live lane in one sweep.
+// active[b] false freezes lane b: its gate pre-activations are still
+// computed (the GEMM is cheaper run dense than masked, and the results are
+// simply never read) but its C/H stay untouched and its source draws
+// nothing, so a retired lane's state and RNG schedule are exactly as its
+// last real step left them. active == nil means all lanes live. A lane's
+// arithmetic never depends on nb or on its neighbours, so its H/C after the
+// call are bit-identical to stepping the same inputs, state, and source
+// alone at nb = 1. srcs may be nil when the layer has no noise.
+func (l *InferLSTM) StepBatch(st *InferLSTMBatchState, nb int, active []bool, srcs []*LaneSource) {
 	if nb > st.nb {
 		panic("nn: StepBatch lane count exceeds state capacity")
 	}
@@ -276,55 +282,39 @@ func (l *InferLSTM) StepBatch(st *InferLSTMBatchState, nb int, active []bool, rn
 		for j := 0; j < H; j++ {
 			h[j] = zo[j] * tc[j]
 		}
-		if l.Noise && (l.AH > 0 || l.AC > 0) {
-			ModulateF32(h, l.AH, rngs[b])
-			ModulateF32(st.C(b), l.AC, rngs[b])
+	}
+	if l.Noise && (l.AH > 0 || l.AC > 0) {
+		l.modulate(st, nb, active, srcs)
+	}
+}
+
+// modulate is the stochastic layer of one step (paper §A.2), draw then
+// sweep. Each live lane's uniforms come off its own source in the order the
+// float64 path draws them — H for h, then H for C, a zero intensity drawing
+// nothing — in one bulk fill per lane; then every live h and C goes through
+// ModulateF32Sweep together. Which vectors share a sweep changes no bit of
+// any of them, so the lane's result is the same at every width.
+func (l *InferLSTM) modulate(st *InferLSTMBatchState, nb int, active []bool, srcs []*LaneSource) {
+	H := l.Hidden
+	per := 0 // vectors per lane
+	if l.AH > 0 {
+		per++
+	}
+	if l.AC > 0 {
+		per++
+	}
+	mv, ma := st.mv[:0], st.ma[:0]
+	for b := 0; b < nb; b++ {
+		if active != nil && !active[b] {
+			continue
+		}
+		srcs[b].CentredF32s(st.un[len(mv)*H : (len(mv)+per)*H])
+		if l.AH > 0 {
+			mv, ma = append(mv, st.H(b)), append(ma, l.AH)
+		}
+		if l.AC > 0 {
+			mv, ma = append(mv, st.C(b)), append(ma, l.AC)
 		}
 	}
-}
-
-// ModulateF32 is the float32 mirror of LSTM.modulate (paper §A.2): add
-// centred uniform noise scaled by the vector's mean |v|, then renormalize
-// by the absolute-mass ratio clamped to [0.5, 2]. It consumes exactly
-// len(v) rng.Float64 draws, matching the float64 path's RNG schedule —
-// the per-precision determinism contract cares about draw counts, not
-// arithmetic width.
-func ModulateF32(v []float32, a float32, rng *rand.Rand) {
-	if a <= 0 {
-		return
-	}
-	// The mean pass and the old sumBefore accumulation were the same
-	// operand sequence, so one pass serves both. abs32 feeds the adds the
-	// bit-identical operand the old sign branches did (sum + (-x) for
-	// x < 0, x unchanged otherwise, -0.0 included), keeping this function
-	// byte-for-byte equal to its branchy predecessor.
-	sumBefore := float32(0)
-	for _, x := range v {
-		sumBefore += abs32(x)
-	}
-	mean := sumBefore / float32(len(v))
-	sumAfter := float32(0)
-	for i, x := range v {
-		n := float32(rng.Float64()-0.5) * mean
-		nv := x + a*n
-		v[i] = nv
-		sumAfter += abs32(nv)
-	}
-	scale := float32(1)
-	if sumAfter > 1e-12 {
-		scale = sumBefore / sumAfter
-	}
-	if scale < 0.5 {
-		scale = 0.5
-	} else if scale > 2 {
-		scale = 2
-	}
-	for i := range v {
-		v[i] *= scale
-	}
-}
-
-// abs32 clears the sign bit: |x| without a branch, exact for -0.0.
-func abs32(x float32) float32 {
-	return math.Float32frombits(math.Float32bits(x) &^ (1 << 31))
+	ModulateF32Sweep(mv, st.un, ma)
 }

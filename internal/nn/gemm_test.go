@@ -132,71 +132,94 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 	})
 }
 
-// TestStepBatchMatchesStep drives 8 lockstep lanes and, for each lane, a
+// TestStepBatchMatchesStep drives 16 lockstep lanes and, for each lane, a
 // width-1 state stepped alone with identical inputs and RNG seed (noise
 // modulation on), asserting bit-identical H and C every step for both
 // precisions — a lane's arithmetic does not depend on the batch around it,
 // which is the property the generation engine's per-seed contract rests on.
+// Lanes retire one per step, so the modulation sweep sees every live count
+// from 16 down to 1: with both intensities set that is every even vector
+// count up to 32, and with AH or AC zero (one vector a lane) every count
+// from 1 to 16 — full groups of four and each remainder.
 func TestStepBatchMatchesStep(t *testing.T) {
 	withKernelFallback(t, func(t *testing.T) {
 		setup := rand.New(rand.NewSource(15))
 		l := NewLSTM(5, 9, setup)
 		l.NoiseActive = true
 		defer l.ClearCache()
-		for _, quant := range []bool{false, true} {
-			fr := FreezeLSTM(l, quant)
-			const nb = 8
-			bst := fr.NewBatchState(nb)
-			rngs := make([]*rand.Rand, nb)
-			alone := make([]*InferLSTMBatchState, nb)
-			aloneRngs := make([]*rand.Rand, nb)
-			for b := 0; b < nb; b++ {
-				rngs[b] = rand.New(rand.NewSource(int64(100 + b)))
-				alone[b] = fr.NewBatchState(1)
-				aloneRngs[b] = rand.New(rand.NewSource(int64(100 + b)))
-			}
-			inRng := rand.New(rand.NewSource(16))
-			for step := 0; step < 12; step++ {
-				// Lanes at and past their sequence end go inactive; the
-				// width-1 twin simply stops stepping.
-				active := make([]bool, nb)
+		const nb, H = 16, 9
+		for _, a := range [][2]float64{{0.6, 0.6}, {0.6, 0}, {0, 0.4}} {
+			l.AH, l.AC = a[0], a[1]
+			for _, quant := range []bool{false, true} {
+				fr := FreezeLSTM(l, quant)
+				bst := fr.NewBatchState(nb)
+				srcs := make([]*LaneSource, nb)
+				alone := make([]*InferLSTMBatchState, nb)
+				aloneSrcs := make([]*LaneSource, nb)
 				for b := 0; b < nb; b++ {
-					active[b] = step < 4+b // lane b retires after 4+b steps
+					srcs[b] = NewLaneSource(int64(100 + b))
+					alone[b] = fr.NewBatchState(1)
+					aloneSrcs[b] = NewLaneSource(int64(100 + b))
 				}
-				for b := 0; b < nb; b++ {
-					in := make([]float32, 5)
-					fillNorm(in, inRng)
-					if !active[b] {
-						continue
+				inRng := rand.New(rand.NewSource(16))
+				for step := 0; step < 4+nb; step++ {
+					// Lanes at and past their sequence end go inactive; the
+					// width-1 twin simply stops stepping.
+					active := make([]bool, nb)
+					for b := 0; b < nb; b++ {
+						active[b] = step < 4+b // lane b retires after 4+b steps
 					}
-					copy(bst.Input(b), in)
-					copy(alone[b].Input(0), in)
-				}
-				fr.StepBatch(bst, nb, active, rngs)
-				for b := 0; b < nb; b++ {
-					if active[b] {
-						fr.StepBatch(alone[b], 1, nil, aloneRngs[b:b+1])
-					}
-				}
-				for b := 0; b < nb; b++ {
-					h, c := bst.H(b), bst.C(b)
-					h1, c1 := alone[b].H(0), alone[b].C(0)
-					for j := 0; j < 9; j++ {
-						if h[j] != h1[j] {
-							t.Fatalf("quant=%v step %d lane %d h[%d]: batch %v != alone %v",
-								quant, step, b, j, h[j], h1[j])
+					for b := 0; b < nb; b++ {
+						in := make([]float32, 5)
+						fillNorm(in, inRng)
+						if !active[b] {
+							continue
 						}
-						if c[j] != c1[j] {
-							t.Fatalf("quant=%v step %d lane %d c[%d]: batch %v != alone %v",
-								quant, step, b, j, c[j], c1[j])
+						copy(bst.Input(b), in)
+						copy(alone[b].Input(0), in)
+					}
+					fr.StepBatch(bst, nb, active, srcs)
+					for b := 0; b < nb; b++ {
+						if active[b] {
+							fr.StepBatch(alone[b], 1, nil, aloneSrcs[b:b+1])
 						}
 					}
+					for b := 0; b < nb; b++ {
+						h, c := bst.H(b), bst.C(b)
+						h1, c1 := alone[b].H(0), alone[b].C(0)
+						for j := 0; j < H; j++ {
+							if h[j] != h1[j] {
+								t.Fatalf("a=%v quant=%v step %d lane %d h[%d]: batch %v != alone %v",
+									a, quant, step, b, j, h[j], h1[j])
+							}
+							if c[j] != c1[j] {
+								t.Fatalf("a=%v quant=%v step %d lane %d c[%d]: batch %v != alone %v",
+									a, quant, step, b, j, c[j], c1[j])
+							}
+						}
+					}
 				}
-			}
-			// Retired lanes drew nothing extra: the streams still agree.
-			for b := 0; b < nb; b++ {
-				if rngs[b].Int63() != aloneRngs[b].Int63() {
-					t.Fatalf("quant=%v lane %d: batched RNG stream diverged", quant, b)
+				// Each lane drew H uniforms per non-zero intensity per live
+				// step and nothing else — a zero intensity and a retired lane
+				// draw nothing.
+				per := 0
+				for _, v := range a {
+					if v > 0 {
+						per += H
+					}
+				}
+				for b := 0; b < nb; b++ {
+					stock := rand.NewSource(int64(100 + b))
+					for i := 0; i < (4+b)*per; i++ {
+						stock.Int63()
+					}
+					want := stock.Int63()
+					if got := srcs[b].Int63(); got != want {
+						t.Fatalf("a=%v quant=%v lane %d: batched stream is not %d draws in", a, quant, b, (4+b)*per)
+					}
+					if got := aloneSrcs[b].Int63(); got != want {
+						t.Fatalf("a=%v quant=%v lane %d: width-1 stream is not %d draws in", a, quant, b, (4+b)*per)
+					}
 				}
 			}
 		}

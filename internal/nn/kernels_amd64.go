@@ -60,3 +60,24 @@ func gemmCol4Asm(wt, x, bias, y *float32, rowsBytes, cols, xStrideBytes, yStride
 //
 //go:noescape
 func vsigAsm(dst, src *float32, n int64, negScale, a, b float32)
+
+// laneRefillAsm advances a LaneSource block in place: LaneSource.refill's
+// two loops, four words at a time.
+//
+//go:noescape
+func laneRefillAsm(x *[laneSrcLen]uint64)
+
+// laneCentredAsm writes dst[i] = float32(Float64-of-x[i] - 0.5) for up to
+// groups groups of four words and returns the number of groups done; it
+// stops in front of a group holding a word Float64 would redraw.
+//
+//go:noescape
+func laneCentredAsm(dst *float32, x *uint64, groups int64) int64
+
+// ModulateF32x8Asm is ModulateF32x1 over the eight n-element vectors whose
+// slice headers start at v, with vector k's uniforms at u[k*n:] and its
+// intensity a[k]; n >= 1. Only ModulateF32Sweep calls it; the capital is for
+// the ModulateF32 prefix profiles are bucketed by (see modulate.go).
+//
+//go:noescape
+func ModulateF32x8Asm(v *[]float32, u *float32, a *float32, n int64)

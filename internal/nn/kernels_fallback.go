@@ -18,3 +18,15 @@ func gemmCol4Asm(wt, x, bias, y *float32, rowsBytes, cols, xStrideBytes, yStride
 func vsigAsm(dst, src *float32, n int64, negScale, a, b float32) {
 	panic("nn: vsigAsm without AVX support")
 }
+
+func laneRefillAsm(x *[laneSrcLen]uint64) {
+	panic("nn: laneRefillAsm without AVX support")
+}
+
+func laneCentredAsm(dst *float32, x *uint64, groups int64) int64 {
+	panic("nn: laneCentredAsm without AVX support")
+}
+
+func ModulateF32x8Asm(v *[]float32, u *float32, a *float32, n int64) {
+	panic("nn: ModulateF32x8Asm without AVX support")
+}

@@ -207,42 +207,102 @@ func TestSigmoidTanhAccuracy(t *testing.T) {
 	}
 }
 
-// TestModulateF32MatchesF64 checks the frozen stochastic layer against the
-// float64 LSTM modulate: same RNG draw count and near-identical output, so
-// the frozen path keeps the exact RNG schedule of the live model.
+// TestModulateF32MatchesF64 checks the frozen stochastic layer — bulk draw,
+// then one sweep over several vectors — against the float64 LSTM modulate
+// run vector after vector on the stock generator: same RNG draw count and
+// near-identical output, so the frozen path keeps the exact RNG schedule of
+// the live model. Seven vectors make the sweep a group of four, a pair and
+// a single.
 func TestModulateF32MatchesF64(t *testing.T) {
-	const n = 16
-	v64 := make([]float64, n)
-	v32 := make([]float32, n)
+	const n, nv = 16, 7
 	rng := rand.New(rand.NewSource(5))
-	for i := range v64 {
-		v64[i] = rng.NormFloat64()
-		v32[i] = float32(v64[i])
+	v64 := make([][]float64, nv)
+	v32 := make([][]float32, nv)
+	for k := range v64 {
+		v64[k] = make([]float64, n)
+		v32[k] = make([]float32, n)
+		for i := range v64[k] {
+			v64[k][i] = rng.NormFloat64()
+			v32[k][i] = float32(v64[k][i])
+		}
 	}
 
 	r64 := rand.New(rand.NewSource(99))
 	l := &LSTM{rng: r64}
-	l.modulate(v64, 0.6)
-	r32 := rand.New(rand.NewSource(99))
-	ModulateF32(v32, 0.6, r32)
+	src := NewLaneSource(99)
+	u := make([]float32, nv*n)
+	a := make([]float32, nv)
+	for k := range v64 {
+		a[k] = 0.3 + 0.1*float32(k)
+		l.modulate(v64[k], float64(a[k]))
+	}
+	src.CentredF32s(u)
+	ModulateF32Sweep(v32, u, a)
 
-	// Same draw count: both RNGs must now be in the same state.
-	if a, b := r64.Int63(), r32.Int63(); a != b {
+	// Same draw count: both generators must now be in the same state.
+	if a, b := r64.Int63(), src.Int63(); a != b {
 		t.Fatalf("RNG streams diverged after modulate: %d vs %d", a, b)
 	}
-	for i := range v64 {
-		if diff := math.Abs(v64[i] - float64(v32[i])); diff > 1e-5 {
-			t.Fatalf("element %d: f64 %v vs f32 %v", i, v64[i], v32[i])
+	for k := range v64 {
+		for i := range v64[k] {
+			if diff := math.Abs(v64[k][i] - float64(v32[k][i])); diff > 1e-5 {
+				t.Fatalf("vector %d element %d: f64 %v vs f32 %v", k, i, v64[k][i], v32[k][i])
+			}
 		}
 	}
+}
 
-	// a=0 is a draw-free no-op on both paths.
-	before := append([]float32(nil), v32...)
-	r0 := rand.New(rand.NewSource(7))
-	ModulateF32(v32, 0, r0)
-	for i := range v32 {
-		if v32[i] != before[i] {
-			t.Fatalf("ModulateF32 with a=0 changed element %d", i)
+// TestModulateF32SweepMatchesSingle: a vector's result does not depend on
+// what shares the sweep with it. Every count from 1 to 17 vectors, lengths
+// with and without a SIMD tail, and the awkward values — zeros of both
+// signs, an all-zero vector (mean 0, nothing to rescale), a mass the noise
+// more than doubles or halves (clamped scale) — must come out bit-equal to
+// ModulateF32x1 on the vector alone, from the assembly kernel (groups of
+// eight) and the Go kernels alike.
+func TestModulateF32SweepMatchesSingle(t *testing.T) {
+	withKernelFallback(t, testModulateF32SweepMatchesSingle)
+}
+
+func testModulateF32SweepMatchesSingle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	negZero := float32(math.Copysign(0, -1))
+	for _, n := range []int{1, 7, 8, 9, 100} {
+		for nv := 1; nv <= 17; nv++ {
+			v := make([][]float32, nv)
+			want := make([][]float32, nv)
+			u := make([]float32, nv*n)
+			a := make([]float32, nv)
+			for i := range u {
+				u[i] = float32(rng.Float64() - 0.5)
+			}
+			for k := range v {
+				v[k] = make([]float32, n)
+				fillNorm(v[k], rng)
+				a[k] = float32(0.1 + rng.Float64())
+				switch k % 5 {
+				case 1:
+					v[k][0], v[k][n-1] = negZero, 0
+				case 2:
+					for i := range v[k] {
+						v[k][i] = 0
+					}
+				case 3:
+					a[k] = 40 // noise dwarfs the signal: scale clamps at 0.5
+				case 4:
+					v[k][rng.Intn(n)] = float32(math.Inf(1)) // NaN where the Go kernel says NaN
+				}
+				want[k] = append([]float32(nil), v[k]...)
+				ModulateF32x1(want[k], u[k*n:(k+1)*n], a[k])
+			}
+			ModulateF32Sweep(v, u, a)
+			for k := range v {
+				for i := range v[k] {
+					got, ref := v[k][i], want[k][i]
+					if math.Float32bits(got) != math.Float32bits(ref) && !(got != got && ref != ref) {
+						t.Fatalf("n=%d: vector %d of %d, element %d: sweep %v != alone %v", n, k, nv, i, got, ref)
+					}
+				}
+			}
 		}
 	}
 }
