@@ -351,12 +351,13 @@ func BenchmarkGenerate(b *testing.B) {
 
 // BenchmarkGenerateBatch measures the frozen backends' GenerateJobs engine
 // at paper-scale weights (Hidden=100), where weight bandwidth dominates.
-// x1 is the engine at width 1. For f32, x4/x8 step that many sequences in
-// lockstep on one worker — every layer-step issues one packed GEMM across
-// the micro-batch instead of one GEMV per sequence — so ns/op ratios read
-// directly as aggregate-throughput amortization (the seq/s metric reports
-// it explicitly). int8 chunks run 1 wide, so its x4/x8 are that many
-// width-1 runs back to back. BENCH_infer.json tracks the trajectory.
+// x1 is the engine at width 1; x4/x8 step that many sequences in lockstep
+// on one worker, so ns/op ratios read directly as aggregate-throughput
+// amortization (the seq/s metric reports it explicitly). For f32 every
+// layer-step issues one packed GEMM across the micro-batch instead of one
+// GEMV per sequence; int8's matmul stays per sequence and the width buys it
+// the plane-wide activations, the modulation sweep and the lockstep residual
+// head. BENCH_infer.json tracks the trajectory.
 func BenchmarkGenerateBatch(b *testing.B) {
 	opt := benchOpt()
 	d := dataset.NewDatasetA(dataset.Spec{Seed: opt.Seed, Scale: opt.Scale})

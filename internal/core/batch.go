@@ -8,12 +8,14 @@ import (
 )
 
 // The frozen generation engine. Up to batchLanes same-model jobs step
-// their frozen LSTMs together, so each layer-step runs one
-// nn.FrozenDense.ApplyBatch — for f32 a GEMM that streams the weights once
-// for the whole micro-batch instead of once per sequence — and each gate
-// activation runs as one vector call over the multi-lane plane. This is
-// the only window loop InferModel has: GenerateSeeded is the engine at
-// width 1, GenerateJobs the engine at the width lanes() picks.
+// their frozen LSTMs together: each gate activation runs as one vector call
+// over the multi-lane plane, the stochastic modulation of every live lane
+// is one sweep, the residual head runs over the live prefix, and each f32
+// layer-step is one nn.FrozenDense.ApplyBatch GEMM that streams the weights
+// once for the whole micro-batch instead of once per sequence (the int8
+// matmul is per lane). This is the only window loop InferModel has:
+// GenerateSeeded is the engine at width 1, GenerateJobs the engine in
+// chunks of batchLanes, whatever the precision.
 //
 // A job's output is a pure function of (weights, Seq, Seed), whatever
 // shares the engine with it, because nothing that affects a lane's
@@ -37,23 +39,14 @@ import (
 // covers only still-live lanes, with masks needed only in the node phase
 // (a lane's visible-cell slot count is not monotonic in lane order).
 
-// batchLanes is the engine's capacity in lanes. Eight lanes amortize the
-// weight stream well past the point of diminishing returns for the model
-// sizes in play while keeping the per-engine scratch small; larger request
-// batches run as consecutive chunks.
+// batchLanes is the engine's capacity in lanes, and the width GenerateJobs
+// chunks to. Eight lanes amortize the f32 weight stream well past the point
+// of diminishing returns for the model sizes in play (1.6× per lane-step
+// over width 1; int8, whose matmul stays per lane, gets the 1.1–1.2× of the
+// plane-wide activations, the modulation sweep and the lockstep residual
+// head) while keeping the per-engine scratch small; larger request batches
+// run as consecutive chunks.
 const batchLanes = 8
-
-// lanes is the width GenerateJobs chunks to. f32 chunks fill the engine:
-// the batched GEMM and the cross-lane modulation sweep are where its gain
-// comes from (1.6× per lane-step at 8 wide). int8 has no batched kernel — it measured 0.87× of per-lane and
-// was removed (BENCH_infer.json) — so extra lanes would only serialize jobs
-// that the worker pool can run side by side.
-func (im *InferModel) lanes() int {
-	if im.prec == PrecisionInt8 {
-		return 1
-	}
-	return batchLanes
-}
 
 // batchLane is one job's private half of the engine: its random stream,
 // its sequence, its output (also the lag history), and the per-lane scratch

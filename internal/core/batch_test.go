@@ -38,30 +38,11 @@ func raggedJobs(m *Model, seq *Sequence) []GenJob {
 	return jobs
 }
 
-// generateWide is GenerateJobs with every chunk batchLanes wide whatever
-// the precision, so int8 is exercised in lockstep too (lanes() runs it at
-// width 1).
-func generateWide(im *InferModel, jobs []GenJob) [][][]float64 {
-	out := make([][][]float64, len(jobs))
-	for lo := 0; lo < len(jobs); lo += batchLanes {
-		hi := lo + batchLanes
-		if hi > len(jobs) {
-			hi = len(jobs)
-		}
-		norm := make([][]float64, hi-lo)
-		im.generate(jobs[lo:hi], norm)
-		for i, flat := range norm {
-			out[lo+i] = denormalizeFlat(im.Cfg.Channels, flat)
-		}
-	}
-	return out
-}
-
 // TestBatchedGenerateJobsBitIdentical is the engine's contract: a job's
-// output does not depend on what shares the engine with it. GenerateJobs,
-// 8-wide chunks, and per-job GenerateSeeded (width 1) must all be
-// byte-equal, per precision, across mixed sequence lengths (ragged lane
-// retirement), chunk boundaries, and worker fan-out widths.
+// output does not depend on what shares the engine with it. GenerateJobs
+// (8-wide chunks) and per-job GenerateSeeded (width 1) must be byte-equal,
+// per precision, across mixed sequence lengths (ragged lane retirement),
+// chunk boundaries, and worker fan-out widths.
 func TestBatchedGenerateJobsBitIdentical(t *testing.T) {
 	m, seq := freezeFixture(t)
 	jobs := raggedJobs(m, seq)
@@ -71,15 +52,11 @@ func TestBatchedGenerateJobsBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		batched := im.WithWorkers(1).GenerateJobs(jobs)
-		wide := generateWide(im, jobs)
 		parallel := im.WithWorkers(3).GenerateJobs(jobs)
 		for i, job := range jobs {
 			direct := im.DenormalizeSeries(im.GenerateSeeded(job.Seq, job.Seed))
 			if !series2Equal(batched[i], direct) {
-				t.Fatalf("%s: job %d (T=%d): GenerateJobs vs direct GenerateSeeded differ", p, i, job.Seq.Len())
-			}
-			if !series2Equal(wide[i], direct) {
-				t.Fatalf("%s: job %d (T=%d): width %d vs width 1 differ", p, i, job.Seq.Len(), batchLanes)
+				t.Fatalf("%s: job %d (T=%d): GenerateJobs (width %d) vs direct GenerateSeeded (width 1) differ", p, i, job.Seq.Len(), batchLanes)
 			}
 			if !series2Equal(batched[i], parallel[i]) {
 				t.Fatalf("%s: job %d: Workers=1 vs Workers=3 differ", p, i)
@@ -97,7 +74,7 @@ func TestBatchedGenerateJobsBitIdentical(t *testing.T) {
 
 // TestBatchedGenerateJobsAblations covers the engine under the NoSRNN
 // (no stochastic modulation) and NoResGen (no residual head) ablations,
-// whose code paths skip whole draw phases.
+// whose code paths skip whole draw phases, at both frozen precisions.
 func TestBatchedGenerateJobsAblations(t *testing.T) {
 	for _, ablate := range []string{"nosrnn", "noresgen"} {
 		t.Run(ablate, func(t *testing.T) {
@@ -114,20 +91,22 @@ func TestBatchedGenerateJobsAblations(t *testing.T) {
 			train := PrepareAll(d.TrainRuns(), chans, m.Cfg.MaxCells)
 			m.Train(train, nil)
 			seq := PrepareAll(d.TestRuns(), chans, m.Cfg.MaxCells)[0]
-			im, err := m.Freeze(PrecisionF32)
-			if err != nil {
-				t.Fatal(err)
-			}
 			jobs := []GenJob{
 				{Seq: seq, Seed: 3},
 				{Seq: truncSeq(seq, seq.Len()/2), Seed: 4},
 				{Seq: seq, Seed: 5},
 			}
-			batched := im.WithWorkers(1).GenerateJobs(jobs)
-			for i, job := range jobs {
-				direct := im.DenormalizeSeries(im.GenerateSeeded(job.Seq, job.Seed))
-				if !series2Equal(batched[i], direct) {
-					t.Fatalf("%s: job %d: batched vs direct differ", ablate, i)
+			for _, p := range []Precision{PrecisionF32, PrecisionInt8} {
+				im, err := m.Freeze(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batched := im.WithWorkers(1).GenerateJobs(jobs)
+				for i, job := range jobs {
+					direct := im.DenormalizeSeries(im.GenerateSeeded(job.Seq, job.Seed))
+					if !series2Equal(batched[i], direct) {
+						t.Fatalf("%s %s: job %d: batched vs direct differ", ablate, p, i)
+					}
 				}
 			}
 		})

@@ -243,15 +243,14 @@ func clamp01f32(v float32) float32 {
 }
 
 // GenerateJobs implements Generator: no cloning — every job runs straight
-// on the frozen weights, in chunks of lanes() jobs per engine, the chunks
+// on the frozen weights, in chunks of batchLanes jobs per engine, the chunks
 // fanned out over Cfg.Workers. A job's output does not depend on what
 // shares its chunk.
 func (im *InferModel) GenerateJobs(jobs []GenJob) [][][]float64 {
 	out := make([][][]float64, len(jobs))
-	width := im.lanes()
-	parallelFor(im.Cfg.Workers, (len(jobs)+width-1)/width, func(ci int) {
-		lo := ci * width
-		hi := lo + width
+	parallelFor(im.Cfg.Workers, (len(jobs)+batchLanes-1)/batchLanes, func(ci int) {
+		lo := ci * batchLanes
+		hi := lo + batchLanes
 		if hi > len(jobs) {
 			hi = len(jobs)
 		}

@@ -99,8 +99,9 @@ func hashSeries(series ...[][]float64) uint64 {
 // from that path, at the commit before its removal, on this fixture:
 // GenerateSeeded for two seeds, and the raggedJobs set through
 // GenerateJobs with batching off. The engine must reproduce them at width
-// 1 and at width batchLanes; any drift means a frozen model no longer
-// generates what it did.
+// 1 (GenerateSeeded) and at width batchLanes (GenerateJobs, on one worker
+// and fanned out); any drift means a frozen model no longer generates what
+// it did.
 func TestFrozenEngineGolden(t *testing.T) {
 	if !nn.Accelerated() {
 		t.Skip("goldens were captured on the AVX2+FMA kernels; the portable kernels round differently")
@@ -130,9 +131,9 @@ func TestFrozenEngineGolden(t *testing.T) {
 			alone[i] = im.DenormalizeSeries(im.GenerateSeeded(j.Seq, j.Seed))
 		}
 		for name, got := range map[string][][][]float64{
-			"width 1":      alone,
-			"width 8":      generateWide(im, jobs),
-			"GenerateJobs": im.WithWorkers(1).GenerateJobs(jobs),
+			"width 1":            alone,
+			"width 8":            im.WithWorkers(1).GenerateJobs(jobs),
+			"width 8, 3 workers": im.WithWorkers(3).GenerateJobs(jobs),
 		} {
 			if h := hashSeries(got...); h != tc.jobs {
 				t.Errorf("%s: ragged jobs at %s hash = %#x, want %#x", tc.p, name, h, tc.jobs)

@@ -37,16 +37,15 @@ type FrozenDense struct {
 // every hot-path scratch buffer does; a short y falls back to the
 // row-major kernel and stays correct.
 func (d *FrozenDense) Apply(x, y []float32, xq []int8) {
-	if d.W != nil {
-		if len(y) >= d.PadRows {
-			GemvColF32(d.WT, d.PadRows, d.Cols, x, d.BiasPad, y)
-			return
-		}
-		MatVecF32(d.W, d.Rows, d.Cols, x, y)
-	} else {
-		xScale := QuantizeVecInt8(x[:d.Cols], xq)
-		MatVecInt8(d.Q, d.Rows, d.Cols, xq, d.RowScale, xScale, y)
+	if d.W == nil {
+		d.applyQuantized(xq, QuantizeVecInt8(x[:d.Cols], xq), y)
+		return
 	}
+	if len(y) >= d.PadRows {
+		GemvColF32(d.WT, d.PadRows, d.Cols, x, d.BiasPad, y)
+		return
+	}
+	MatVecF32(d.W, d.Rows, d.Cols, x, y)
 	if d.Bias != nil {
 		for i, b := range d.Bias[:d.Rows] {
 			y[i] += b
@@ -54,14 +53,20 @@ func (d *FrozenDense) Apply(x, y []float32, xq []int8) {
 	}
 }
 
+// applyQuantized is the int8 backend's Apply on an input already quantized
+// to xq with scale xScale, for callers that feed one input to several
+// blocks.
+func (d *FrozenDense) applyQuantized(xq []int8, xScale float32, y []float32) {
+	matVecInt8(d.Q, d.Rows, d.Cols, xq, d.RowScale, xScale, d.Bias, y)
+}
+
 // ApplyBatch is Apply over nb lanes: y_b = W·x_b (+ bias), lane b's input
 // at x[b*xStride:] and output at y[b*yStride:]. The f32 backend runs one
 // GEMM that streams the weights once for all lanes and requires yStride >=
 // PadRows (every caller sizes its planes that way); its per-row
 // accumulation order is GemvColF32's, so each lane is bit-identical to a
-// standalone Apply. The int8 backend IS a standalone Apply per lane — a
-// batched int8 matmul measured slower than this loop (BENCH_infer.json) —
-// with xq as its activation scratch.
+// standalone Apply. The int8 backend IS a standalone Apply per lane, with
+// xq as its activation scratch (the f32 backend never touches xq).
 func (d *FrozenDense) ApplyBatch(x []float32, xStride int, y []float32, yStride, nb int, xq []int8) {
 	if d.W != nil {
 		if yStride < d.PadRows {
@@ -234,16 +239,17 @@ func (st *InferLSTMBatchState) ResetLane(b int) {
 }
 
 // StepBatch advances nb lanes one timestep in lockstep, mirroring
-// LSTM.Step's float64 semantics in float32: two batched matmuls (the
-// [i; f; o] sigmoid block and the g tanh block, each streaming the weights
-// once for the whole batch), one vectorized tanh / sigmoid pass per
-// activation over the full multi-lane plane, the per-lane cell/hidden
-// updates, then the stochastic modulation of every live lane in one sweep.
-// active[b] false freezes lane b: its gate pre-activations are still
-// computed (the GEMM is cheaper run dense than masked, and the results are
-// simply never read) but its C/H stay untouched and its source draws
-// nothing, so a retired lane's state and RNG schedule are exactly as its
-// last real step left them. active == nil means all lanes live. A lane's
+// LSTM.Step's float64 semantics in float32: two matmuls (the [i; f; o]
+// sigmoid block and the g tanh block — f32 streams each block's weights once
+// for the whole batch, int8 quantizes each lane's input once for both
+// blocks), one vectorized tanh / sigmoid pass per activation over the full
+// multi-lane plane, the per-lane cell/hidden updates, then the stochastic
+// modulation of every live lane in one sweep. active[b] false freezes lane
+// b: the f32 GEMM still computes its gate pre-activations (cheaper run dense
+// than masked, and the results are never read) but its C/H stay untouched
+// and its source draws nothing, so a retired lane's state and RNG schedule
+// are exactly as its last real step left them. active == nil means all
+// lanes live. A lane's
 // arithmetic never depends on nb or on its neighbours, so its H/C after the
 // call are bit-identical to stepping the same inputs, state, and source
 // alone at nb = 1. srcs may be nil when the layer has no noise.
@@ -252,11 +258,25 @@ func (l *InferLSTM) StepBatch(st *InferLSTMBatchState, nb int, active []bool, sr
 		panic("nn: StepBatch lane count exceeds state capacity")
 	}
 	H := l.Hidden
-	l.GatesSig.ApplyBatch(st.xh, st.sx, st.zsig, st.ps, nb, st.xq)
-	l.GatesG.ApplyBatch(st.xh, st.sx, st.zg, st.ph, nb, st.xq)
-	// One activation call per plane, on full 8-lane blocks. Pad lanes hold
-	// matmul zeros (f32) or stale scratch; the activations write dead
-	// values there that nothing reads.
+	if l.GatesSig.Q != nil {
+		// Both gate blocks read the same [x; h], so a lane's input is
+		// quantized once and shared. The int8 matmul is per lane, which
+		// leaves nothing to gain from computing a frozen lane's gates.
+		for b := 0; b < nb; b++ {
+			if active != nil && !active[b] {
+				continue
+			}
+			xScale := QuantizeVecInt8(st.xh[b*st.sx:(b+1)*st.sx], st.xq)
+			l.GatesSig.applyQuantized(st.xq, xScale, st.zsig[b*st.ps:])
+			l.GatesG.applyQuantized(st.xq, xScale, st.zg[b*st.ph:])
+		}
+	} else {
+		l.GatesSig.ApplyBatch(st.xh, st.sx, st.zsig, st.ps, nb, nil)
+		l.GatesG.ApplyBatch(st.xh, st.sx, st.zg, st.ph, nb, nil)
+	}
+	// One activation call per plane, on full 8-lane blocks. Pad lanes and
+	// frozen int8 lanes hold matmul zeros (f32) or stale scratch; the
+	// activations write dead values there that nothing reads.
 	TanhVecF32(st.gt[:nb*st.ph], st.zg[:nb*st.ph])
 	SigmoidVecF32(st.zsig[:nb*st.ps])
 	for b := 0; b < nb; b++ {

@@ -226,6 +226,54 @@ func TestStepBatchMatchesStep(t *testing.T) {
 	})
 }
 
+// TestStepBatchQuantizesOnce: the int8 StepBatch quantizes a lane's [x; h]
+// once and feeds both gate blocks from it. Each block's standalone Apply
+// quantizes the same vector itself, so stepping by hand through two Apply
+// calls must give the same H and C bit for bit, lane by lane, step by step.
+func TestStepBatchQuantizesOnce(t *testing.T) {
+	withKernelFallback(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(17))
+		const in, H, nb = 5, 9, 3
+		l := NewLSTM(in, H, rng)
+		defer l.ClearCache()
+		fr := FreezeLSTM(l, true)
+		fr.Noise = false
+		st := fr.NewBatchState(nb)
+		zsig, zg := make([]float32, pad8(3*H)), make([]float32, pad8(H))
+		gt, tc := make([]float32, pad8(H)), make([]float32, pad8(H))
+		xq := make([]int8, in+H)
+		for step := 0; step < 5; step++ {
+			var xh [nb][]float32
+			var c [nb][]float32
+			for b := 0; b < nb; b++ {
+				fillNorm(st.Input(b), rng)
+				xh[b] = append(append([]float32(nil), st.Input(b)...), st.H(b)...)
+				c[b] = append(make([]float32, 0, pad8(H)), st.C(b)...)[:pad8(H)]
+			}
+			fr.StepBatch(st, nb, nil, nil)
+			for b := 0; b < nb; b++ {
+				fr.GatesSig.Apply(xh[b], zsig, xq)
+				fr.GatesG.Apply(xh[b], zg, xq)
+				TanhVecF32(gt, zg)
+				SigmoidVecF32(zsig)
+				for j := 0; j < H; j++ {
+					c[b][j] = zsig[H+j]*c[b][j] + zsig[j]*gt[j]
+				}
+				TanhVecF32(tc, c[b])
+				for j := 0; j < H; j++ {
+					h := zsig[2*H+j] * tc[j]
+					if got := st.H(b)[j]; got != h {
+						t.Fatalf("step %d lane %d h[%d]: StepBatch %v != two Apply calls %v", step, b, j, got, h)
+					}
+					if got := st.C(b)[j]; got != c[b][j] {
+						t.Fatalf("step %d lane %d c[%d]: StepBatch %v != two Apply calls %v", step, b, j, got, c[b][j])
+					}
+				}
+			}
+		}
+	})
+}
+
 // FuzzGemmShapes hammers GemmColF32 with arbitrary shapes, strides, and
 // lane counts, asserting exact equality with per-lane GemvColF32 on both
 // kernel paths. Mirrors FuzzQuantize's wiring into the CI fuzz smoke.

@@ -193,11 +193,50 @@ func sigVec(dst, src []float32, negScale, a, b float32) {
 // for a row-major rows×cols int8 matrix against an int8-quantized input.
 // Accumulation is exact in int32 (127·127·cols stays far below overflow
 // for any realistic layer width), so the only rounding is the final
-// two-scale dequantization. Blocked like MatVecF32.
+// two-scale dequantization — and the summation order is free, which is what
+// lets the vector kernels (int8_amd64.s: AVX2, 16 columns a multiply-add, or
+// AVX-512 VNNI, 32) take every whole group of four rows and still equal the
+// Go loop bit for bit on every int8 input. Rows left over, matrices narrower
+// than one AVX2 block, and machines with neither take the Go loop.
 func MatVecInt8(q []int8, rows, cols int, xq []int8, rowScale []float32, xScale float32, y []float32) {
-	if len(q) < rows*cols || len(xq) < cols || len(rowScale) < rows || len(y) < rows {
+	matVecInt8(q, rows, cols, xq, rowScale, xScale, nil, y)
+}
+
+// matVecInt8 is MatVecInt8 followed by y[r] += bias[r] (bias may be nil),
+// the add a rounding step of its own, as a caller's loop over y would make
+// it: the kernels hold the row's value in a register at that point.
+func matVecInt8(q []int8, rows, cols int, xq []int8, rowScale []float32, xScale float32, bias, y []float32) {
+	if len(q) < rows*cols || len(xq) < cols || len(rowScale) < rows || len(y) < rows || (bias != nil && len(bias) < rows) {
 		panic("nn: MatVecInt8 dimension mismatch")
 	}
+	minCols := 16
+	if useVNNI {
+		minCols = 1 // its loads are masked, so it has no narrowest matrix
+	}
+	r := 0
+	if useAVX && rows >= 4 && cols >= minCols {
+		r = rows &^ 3
+		var b0 *float32
+		if bias != nil {
+			b0 = &bias[0]
+		}
+		if useVNNI {
+			matVecInt8VNNIAsm(&q[0], &xq[0], &rowScale[0], b0, &y[0], int64(r), int64(cols), xScale)
+		} else {
+			matVecInt8Asm(&q[0], &xq[0], &rowScale[0], b0, &y[0], int64(r), int64(cols), xScale)
+		}
+	}
+	matVecInt8Go(q[r*cols:], rows-r, cols, xq, rowScale[r:], xScale, y[r:])
+	if bias != nil {
+		for i := r; i < rows; i++ {
+			y[i] += bias[i]
+		}
+	}
+}
+
+// matVecInt8Go is the portable MatVecInt8 and the reference the assembly is
+// tested against. Blocked like MatVecF32.
+func matVecInt8Go(q []int8, rows, cols int, xq []int8, rowScale []float32, xScale float32, y []float32) {
 	xq = xq[:cols]
 	r := 0
 	for ; r+4 <= rows; r += 4 {

@@ -30,6 +30,20 @@ func detectAVX() bool {
 	return ebx7&(1<<5) != 0 // AVX2
 }
 
+// useVNNI adds the 256-bit AVX-512 VNNI int8 dot product on top of useAVX.
+var useVNNI = useAVX && detectVNNI()
+
+// detectVNNI reports AVX512F/BW/VL and AVX512_VNNI in CPUID with the
+// opmask and ZMM state enabled by the OS; detectAVX has checked the rest.
+func detectVNNI() bool {
+	if lo, _ := xgetbv0(); lo&0xe6 != 0xe6 { // XMM, YMM, opmask, ZMM_Hi256, Hi16_ZMM
+		return false
+	}
+	_, ebx7, ecx7, _ := cpuidRaw(7, 0)
+	const need = 1<<16 | 1<<30 | 1<<31 // AVX512F | AVX512BW | AVX512VL
+	return ebx7&need == need && ecx7&(1<<11) != 0
+}
+
 //go:noescape
 func cpuidRaw(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -60,6 +74,31 @@ func gemmCol4Asm(wt, x, bias, y *float32, rowsBytes, cols, xStrideBytes, yStride
 //
 //go:noescape
 func vsigAsm(dst, src *float32, n int64, negScale, a, b float32)
+
+// matVecInt8Asm is matVecInt8Go, then bias added row by row unless bias is
+// nil, for rows a positive multiple of 4 and cols >= 16; equal to the Go
+// loops bit for bit on every int8 input.
+//
+//go:noescape
+func matVecInt8Asm(q, xq *int8, rowScale, bias, y *float32, rows, cols int64, xScale float32)
+
+// matVecInt8VNNIAsm is matVecInt8Asm on AVX-512 VNNI, for rows a positive
+// multiple of 4 and any cols >= 1.
+//
+//go:noescape
+func matVecInt8VNNIAsm(q, xq *int8, rowScale, bias, y *float32, rows, cols int64, xScale float32)
+
+// absMaxFiniteAsm returns the largest |x[i]| over the finite x[i], i < n
+// (0 if none); n a positive multiple of 8.
+//
+//go:noescape
+func absMaxFiniteAsm(x *float32, n int64) float32
+
+// roundInt8Asm writes q[i] = roundInt8(x[i]*inv) for i < n, n a positive
+// multiple of 8.
+//
+//go:noescape
+func roundInt8Asm(x *float32, q *int8, n int64, inv float32)
 
 // laneRefillAsm advances a LaneSource block in place: LaneSource.refill's
 // two loops, four words at a time.

@@ -141,7 +141,7 @@ func TestQuantizeDegenerate(t *testing.T) {
 
 // FuzzQuantize: quantization must never panic and always yield a finite,
 // non-negative scale with codes in [-127, 127], whatever bit patterns the
-// input holds.
+// input holds, and the vector kernels must match the portable loops on them.
 func FuzzQuantize(f *testing.F) {
 	f.Add(uint32(0), uint32(0x3f800000), uint32(0x7f800000), uint32(0x7fc00000))
 	f.Add(uint32(0xff7fffff), uint32(0x00000001), uint32(0x80000000), uint32(0x42f70000))
@@ -160,6 +160,14 @@ func FuzzQuantize(f *testing.F) {
 				t.Fatalf("q[%d] = %d for %v", i, v, x)
 			}
 		}
+		// The same four patterns among ordinary values in a vector long
+		// enough for the AVX2 kernels: both paths must agree exactly.
+		wide := make([]float32, 19)
+		for i := range wide {
+			wide[i] = float32(i-9) * 0.37
+		}
+		wide[2], wide[7], wide[11], wide[18] = x[0], x[1], x[2], x[3]
+		quantizeBothPaths(t, wide)
 	})
 }
 
@@ -380,14 +388,14 @@ func TestFreezeLSTMStepMatchesF64(t *testing.T) {
 }
 
 // withKernelFallback runs fn twice, once on the platform's fast path and
-// once with the AVX kernels disabled, so every parity test covers both
+// once with the vector kernels disabled, so every parity test covers both
 // the assembly and the portable Go implementations.
 func withKernelFallback(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
 	fn(t)
-	saved := useAVX
-	useAVX = false
-	defer func() { useAVX = saved }()
+	savedAVX, savedVNNI := useAVX, useVNNI
+	useAVX, useVNNI = false, false
+	defer func() { useAVX, useVNNI = savedAVX, savedVNNI }()
 	t.Run("fallback", fn)
 }
 

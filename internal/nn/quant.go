@@ -18,8 +18,16 @@ func QuantizeVecInt8(x []float32, q []int8) float32 {
 	if len(q) < len(x) {
 		panic("nn: QuantizeVecInt8 output too short")
 	}
+	// Both passes are elementwise up to a max, so the AVX2 kernels take the
+	// whole blocks of eight and the loops below the rest (everything,
+	// without AVX2), with the same result either way.
+	n8 := 0
 	maxAbs := float32(0)
-	for _, v := range x {
+	if useAVX && len(x) >= 8 {
+		n8 = len(x) &^ 7
+		maxAbs = absMaxFiniteAsm(&x[0], int64(n8))
+	}
+	for _, v := range x[n8:] {
 		a := v
 		if a < 0 {
 			a = -a
@@ -37,8 +45,11 @@ func QuantizeVecInt8(x []float32, q []int8) float32 {
 		return 0
 	}
 	inv := 127 / maxAbs
-	for i, v := range x {
-		q[i] = roundInt8(v * inv)
+	if n8 > 0 {
+		roundInt8Asm(&x[0], &q[0], int64(n8), inv)
+	}
+	for i := n8; i < len(x); i++ {
+		q[i] = roundInt8(x[i] * inv)
 	}
 	return maxAbs / 127
 }
