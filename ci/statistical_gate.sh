@@ -13,9 +13,11 @@
 # so a regeneration with an unchanged model is a no-op diff.
 #
 # A second, lighter section repeats the train -> pass -> corrupt-must-fail
-# -> golden-stable loop on the NR5G scenario, whose world exists only as a
-# declarative config (scenarios/nr5g-dense.toml) — proving the scenario
-# DSL pipeline feeds the same statistical gate as the hard-coded datasets.
+# -> golden-stable loop on the NR5G scenario, selecting its world by file
+# (-scenario-file scenarios/nr5g-dense.toml, no -dataset) the way a user's
+# own config would be, and then serves that model from the same file and
+# replays a trace against it — a file-selected world trained, gated and
+# served through the one set of world flags every binary shares.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -140,12 +142,11 @@ if ! cmp -s "$GOLDEN" "$work/golden.orig"; then
 fi
 
 echo "=== statistical gate: NR5G scenario (config-defined world) ==="
-# Same teeth, different world: NR5G is compiled from a committed scenario
-# config rather than a hard-coded constructor. Must match the parameters
-# validate/golden/gate-nr5g.json was derived under.
-NR_TRAIN_ARGS=(-dataset NR5G -scale 0.05 -seed 7 -channels rsrp,rsrq
+# Same teeth, different world, named by its config file alone. Must match
+# the parameters validate/golden/gate-nr5g.json was derived under.
+NR_GATE_ARGS=(-scenario-file scenarios/nr5g-dense.toml -scale 0.05 -seed 7)
+NR_TRAIN_ARGS=("${NR_GATE_ARGS[@]}" -channels rsrp,rsrq
     -epochs 2 -hidden 12 -batch 12 -step 6 -maxcells 6 -workers 2)
-NR_GATE_ARGS=(-dataset NR5G -scale 0.05 -seed 7)
 NR_GOLDEN=validate/golden/gate-nr5g.json
 
 "$work/gendt-train" "${NR_TRAIN_ARGS[@]}" -out "$work/model-nr5g.json" -fingerprint
@@ -180,4 +181,23 @@ if ! cmp -s "$NR_GOLDEN" "$work/golden-nr5g.orig"; then
     exit 1
 fi
 
-echo "statistical gate: pass on healthy, fail on corrupted, golden stable (A + NR5G)"
+echo "--- NR5G: the file-selected world serves"
+"$work/gendt-serve" -model "$work/model-nr5g.json" "${NR_GATE_ARGS[@]}" \
+    -addr 127.0.0.1:18073 >"$work/serve-nr5g.log" 2>&1 &
+nr_pid=$!
+trap 'kill "$nr_pid" 2>/dev/null || true; rm -rf "$work"' EXIT
+wait_http "$BATCHED/healthz"
+if ! "$work/gendt-bench" -target "$BATCHED" "${NR_GATE_ARGS[@]}" \
+    -routes 4 -steps 30 -trace-seed 1 -timeout 10s \
+    -rps 20 -duration 2s -warmup 0s -arrival fixed \
+    -max-error-rate 0 -out "$work/load-nr5g.json" >"$work/load-nr5g.log" 2>&1; then
+    echo "FAIL: NR5G: replay against the file-selected world saw errors"
+    cat "$work/load-nr5g.log" "$work/serve-nr5g.log"
+    exit 1
+fi
+grep 'rps 20: sent' "$work/load-nr5g.log"
+kill "$nr_pid" 2>/dev/null || true
+wait "$nr_pid" 2>/dev/null || true
+trap 'rm -rf "$work"' EXIT
+
+echo "statistical gate: pass on healthy, fail on corrupted, golden stable (A + NR5G), NR5G served from its file"

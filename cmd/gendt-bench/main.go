@@ -7,12 +7,14 @@
 // replica).
 //
 // The trace is synthesized from the resident dataset world with a seeded
-// RNG, so -dataset/-scale/-seed must match the serving fleet's flags.
+// RNG, so -dataset/-scenario-file/-scale/-seed must match the serving
+// fleet's flags.
 //
 // Usage:
 //
-//	gendt-bench -target http://127.0.0.1:8080 [-dataset A] [-scale 0.05]
-//	            [-seed 1] [-model NAME] [-routes 8] [-steps 120]
+//	gendt-bench -target http://127.0.0.1:8080 [-dataset A]
+//	            [-scenario-file F.toml] [-scale 0.05] [-seed 1]
+//	            [-model NAME] [-routes 8] [-steps 120]
 //	            [-samples 1] [-trace-seed 1]
 //	            [-rps 20] [-duration 10s] [-warmup 2s]
 //	            [-arrival poisson|fixed] [-timeout 30s]
@@ -27,20 +29,17 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"gendt/internal/dataset"
 	"gendt/internal/loadgen"
-	"gendt/internal/scenario"
 )
 
 func main() {
 	target := flag.String("target", "", "base URL under test (required)")
-	which := flag.String("dataset", "A", "dataset world, a registered scenario name: "+strings.Join(scenario.Names(), ", ")+" (must match the serving fleet)")
-	scale := flag.Float64("scale", 0.05, "dataset scale (must match the serving fleet)")
-	seed := flag.Int64("seed", 1, "dataset seed (must match the serving fleet)")
+	world := dataset.AddWorldFlags(flag.CommandLine, 0.05, " (must match the serving fleet)")
 	model := flag.String("model", "", "model name in the fleet registry (empty = single-model default)")
 	routes := flag.Int("routes", 8, "distinct routes in the trace")
 	steps := flag.Int("steps", 120, "samples per route (0 = full trajectories)")
@@ -64,14 +63,17 @@ func main() {
 		logger.Fatal("-target is required")
 	}
 
-	spec := loadgen.TraceSpec{
-		Dataset: *which, Scale: *scale, Seed: *seed,
-		Routes: *routes, Steps: *steps, Model: *model,
-		Samples: *samples, RNGSeed: *traceSeed,
+	ds, err := world.Build()
+	if err != nil {
+		logger.Print(err)
+		os.Exit(2)
 	}
 	logger.Printf("synthesizing trace: dataset %s scale %g seed %d, %d routes x %d steps",
-		*which, *scale, *seed, *routes, *steps)
-	trace, err := loadgen.BuildTrace(spec)
+		ds.Name, world.Scale, world.Seed, *routes, *steps)
+	trace, err := loadgen.BuildTrace(ds, loadgen.TraceSpec{
+		Routes: *routes, Steps: *steps, Model: *model,
+		Samples: *samples, RNGSeed: *traceSeed,
+	})
 	if err != nil {
 		logger.Fatal(err)
 	}
@@ -167,31 +169,6 @@ func logReport(logger *log.Logger, rep loadgen.Report) {
 		rep.LatencyMs.P50, rep.LatencyMs.P99, rep.LatencyMs.P999, rep.Reasons)
 	if h := rep.BatchSizeHist; h != nil {
 		logger.Printf("rps %g: batch sizes: %d batches, mean %.2f req/batch | le %s",
-			rep.OfferedRPS, h.Count, h.Mean, fmtBuckets(h.Buckets))
+			rep.OfferedRPS, h.Count, h.Mean, h.BucketString())
 	}
-}
-
-// fmtBuckets renders le-bucket counts in ascending bound order ("+Inf"
-// last), e.g. "1:12 2:3 8:1".
-func fmtBuckets(buckets map[string]int64) string {
-	keys := make([]string, 0, len(buckets))
-	for k := range buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		vi, erri := strconv.ParseInt(keys[i], 10, 64)
-		vj, errj := strconv.ParseInt(keys[j], 10, 64)
-		if (erri == nil) != (errj == nil) {
-			return erri == nil // numeric bounds before "+Inf"
-		}
-		if erri != nil {
-			return keys[i] < keys[j]
-		}
-		return vi < vj
-	})
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s:%d", k, buckets[k]))
-	}
-	return strings.Join(parts, " ")
 }

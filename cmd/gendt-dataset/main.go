@@ -17,30 +17,21 @@ import (
 
 	"gendt/internal/dataset"
 	"gendt/internal/export"
-	"gendt/internal/scenario"
 )
 
 func main() {
-	which := flag.String("dataset", "A", "registered scenario name (A, B, NR5G, Tunnel, Suburb, ...)")
-	scenarioFile := flag.String("scenario-file", "", "load a scenario config file; it is registered under its [scenario] name and becomes the default -dataset")
-	scale := flag.Float64("scale", 0.1, "scale relative to the paper's sample counts")
-	seed := flag.Int64("seed", 1, "random seed")
+	world := dataset.AddWorldFlags(flag.CommandLine, 0.1, "")
 	csvDir := flag.String("csv", "", "directory to export runs as CSV (optional)")
 	flag.Parse()
 
-	name, err := resolveScenario(*which, *scenarioFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gendt-dataset:", err)
-		os.Exit(2)
-	}
-	d, err := dataset.NewByName(name, dataset.Spec{Seed: *seed, Scale: *scale})
+	d, err := world.Build()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gendt-dataset:", err)
 		os.Exit(2)
 	}
 
 	fmt.Printf("Dataset %s (scale %.2f, seed %d): %d runs, %d cells\n",
-		d.Name, *scale, *seed, len(d.Runs), len(d.World.Deployment.Cells))
+		d.Name, world.Scale, world.Seed, len(d.Runs), len(d.World.Deployment.Cells))
 	for _, s := range d.Scenarios() {
 		fmt.Println("  " + d.ScenarioStats(s).String())
 	}
@@ -64,29 +55,6 @@ func main() {
 			fmt.Printf("wrote %s (%d samples)\n", path, len(r.Meas))
 		}
 	}
-}
-
-// resolveScenario registers -scenario-file (if given) and picks the
-// dataset name: an explicit -dataset wins, otherwise the loaded file's
-// [scenario] name is used.
-func resolveScenario(name, file string) (string, error) {
-	if file == "" {
-		return name, nil
-	}
-	sc, err := scenario.RegisterFile(file)
-	if err != nil {
-		return "", err
-	}
-	explicit := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "dataset" {
-			explicit = true
-		}
-	})
-	if explicit {
-		return name, nil
-	}
-	return sc.Name, nil
 }
 
 func sanitize(s string) string {

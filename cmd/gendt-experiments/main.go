@@ -27,14 +27,12 @@ import (
 	"gendt/internal/dataset"
 	"gendt/internal/experiments"
 	"gendt/internal/plot"
-	"gendt/internal/scenario"
 )
 
 func main() {
 	scale := flag.String("scale", "default", "experiment scale: quick or default")
 	seed := flag.Int64("seed", 1, "master random seed")
-	which := flag.String("dataset", "A", "registered scenario name for the \"scenario\" experiment")
-	scenarioFile := flag.String("scenario-file", "", "load a scenario config file; it is registered under its [scenario] name and becomes the default -dataset")
+	world := dataset.AddNameFlags(flag.CommandLine, " (the world of the \"scenario\" experiment)")
 	svgDir := flag.String("svg", "", "directory to also write figure SVGs (optional)")
 	epochs := flag.Int("epochs", 0, "override GenDT training epochs (0 = scale preset)")
 	workers := flag.Int("workers", -1, "data-parallel workers (-1 = scale preset, 0 = NumCPU, 1 = serial)")
@@ -82,14 +80,14 @@ func main() {
 		opt.Workers = *workers
 	}
 
-	scenName, err := resolveScenario(*which, *scenarioFile)
+	scenName, err := world.Name()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gendt-experiments:", err)
 		os.Exit(2)
 	}
 
 	ids := flag.Args()
-	if len(ids) == 0 && *scenarioFile != "" {
+	if len(ids) == 0 && world.ScenarioFile != "" {
 		ids = []string{"scenario"}
 	}
 	if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
@@ -127,29 +125,6 @@ func writeMemProfile(path string) {
 	if err := pprof.WriteHeapProfile(f); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 	}
-}
-
-// resolveScenario registers -scenario-file (if given) and picks the
-// scenario name: an explicit -dataset wins, otherwise the loaded file's
-// [scenario] name is used.
-func resolveScenario(name, file string) (string, error) {
-	if file == "" {
-		return name, nil
-	}
-	sc, err := scenario.RegisterFile(file)
-	if err != nil {
-		return "", err
-	}
-	explicit := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "dataset" {
-			explicit = true
-		}
-	})
-	if explicit {
-		return name, nil
-	}
-	return sc.Name, nil
 }
 
 // writeSVG writes a figure SVG when an output directory was requested.

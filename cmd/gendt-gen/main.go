@@ -19,15 +19,11 @@ import (
 	"gendt/internal/dataset"
 	"gendt/internal/export"
 	"gendt/internal/metrics"
-	"gendt/internal/scenario"
 )
 
 func main() {
 	modelPath := flag.String("model", "gendt-model.json", "trained model path")
-	which := flag.String("dataset", "A", "registered scenario name (A, B, NR5G, Tunnel, Suburb, ...)")
-	scenarioFile := flag.String("scenario-file", "", "load a scenario config file; it is registered under its [scenario] name and becomes the default -dataset")
-	scale := flag.Float64("scale", 0.05, "dataset scale (must match training for the same world)")
-	seed := flag.Int64("seed", 1, "random seed (must match training for the same world)")
+	world := dataset.AddWorldFlags(flag.CommandLine, 0.05, " (must match training)")
 	runIdx := flag.Int("run", 0, "index into the test runs")
 	route := flag.String("route", "", "CSV trajectory (t,lat,lon) to generate for instead of a test run — the pure virtual-drive-test workflow")
 	out := flag.String("out", "", "optional JSON output path for the generated series")
@@ -39,12 +35,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	dsName, err := resolveScenario(*which, *scenarioFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gendt-gen:", err)
-		os.Exit(2)
-	}
-	d, err := dataset.NewByName(dsName, dataset.Spec{Seed: *seed, Scale: *scale})
+	d, err := world.Build()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gendt-gen:", err)
 		os.Exit(2)
@@ -133,27 +124,4 @@ func maxOf(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// resolveScenario registers -scenario-file (if given) and picks the
-// dataset name: an explicit -dataset wins, otherwise the loaded file's
-// [scenario] name is used.
-func resolveScenario(name, file string) (string, error) {
-	if file == "" {
-		return name, nil
-	}
-	sc, err := scenario.RegisterFile(file)
-	if err != nil {
-		return "", err
-	}
-	explicit := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "dataset" {
-			explicit = true
-		}
-	})
-	if explicit {
-		return name, nil
-	}
-	return sc.Name, nil
 }

@@ -19,7 +19,8 @@
 //	    -replicas http://127.0.0.1:18081,http://127.0.0.1:18082 \
 //	    -model-path /srv/model.json -candidate /srv/candidate.json \
 //	    -golden validate/golden/gate-a.json \
-//	    [-dataset A] [-scale F] [-seed N] [-routes N] [-samples N]
+//	    [-dataset A] [-scenario-file F.toml] [-scale F] [-seed N]
+//	    [-routes N] [-samples N]
 //	    [-max-route-len N] [-model NAME] [-backup PATH] [-skip-gate]
 //	    [-budget-window D] [-err-budget F] [-p99-factor F]
 //	    [-min-window-requests N] [-drain-timeout D]
@@ -41,7 +42,6 @@ import (
 	"gendt/internal/core"
 	"gendt/internal/dataset"
 	"gendt/internal/rollout"
-	"gendt/internal/scenario"
 	"gendt/internal/validate"
 )
 
@@ -55,9 +55,8 @@ func main() {
 	modelName := flag.String("model", "", "registered model name on the replicas (empty = single-model default)")
 
 	golden := flag.String("golden", "", "golden tolerance file for the statistical gate")
-	which := flag.String("dataset", "A", "dataset world, a registered scenario name: "+strings.Join(scenario.Names(), ", ")+" (must match the fleet's world)")
-	scale := flag.Float64("scale", 0.05, "dataset scale (must match the fleet's world)")
-	seed := flag.Int64("seed", 1, "validation seed for the gate")
+	world := dataset.AddWorldFlags(flag.CommandLine, 0.05, " (must match the fleet's world)")
+	flag.Lookup("seed").Usage += "; also the gate's validation seed"
 	routes := flag.Int("routes", 4, "held-out routes for the gate's distributional pass")
 	samples := flag.Int("samples", 2, "generation samples per route")
 	maxRouteLen := flag.Int("max-route-len", 150, "truncate held-out routes to N samples (negative = full)")
@@ -125,14 +124,14 @@ func main() {
 	}
 
 	if !*skipGate {
-		ds, err := dataset.NewByName(strings.ToUpper(*which), dataset.Spec{Seed: *seed, Scale: *scale})
+		ds, err := world.Build()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gendt-rollout:", err)
 			os.Exit(2)
 		}
 		gateOpts := validate.Options{
 			Dataset: ds, Routes: *routes, SamplesPerRoute: *samples,
-			MaxRouteLen: *maxRouteLen, Seed: *seed,
+			MaxRouteLen: *maxRouteLen, Seed: world.Seed,
 		}
 		if *golden != "" {
 			gateOpts.Golden, err = validate.LoadGolden(*golden)

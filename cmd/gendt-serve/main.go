@@ -16,7 +16,8 @@
 // Usage:
 //
 //	gendt-serve -model gendt-model.json [-model name=path ...]
-//	            [-addr :8080] [-dataset NAME] [-scale F] [-seed N]
+//	            [-addr :8080] [-dataset NAME] [-scenario-file F.toml]
+//	            [-scale F] [-seed N]
 //	            [-batch-window 2ms] [-batch-max 64]
 //	            [-max-body 8388608] [-max-samples 64] [-workers N]
 //	            [-timeout 30s] [-precision f64|f32|int8]
@@ -39,7 +40,6 @@ import (
 
 	"gendt/internal/core"
 	"gendt/internal/dataset"
-	"gendt/internal/scenario"
 	"gendt/internal/serve"
 )
 
@@ -71,9 +71,7 @@ func main() {
 	var models modelFlags
 	flag.Var(&models, "model", "trained model to serve, as path or name=path (repeatable)")
 	addr := flag.String("addr", ":8080", "listen address")
-	which := flag.String("dataset", "A", "dataset world, a registered scenario name: "+strings.Join(scenario.Names(), ", ")+" (must match training)")
-	scale := flag.Float64("scale", 0.05, "dataset scale (must match training for the same world)")
-	seed := flag.Int64("seed", 1, "dataset seed (must match training for the same world)")
+	world := dataset.AddWorldFlags(flag.CommandLine, 0.05, " (must match training)")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "micro-batching window; 0 coalesces only queued requests")
 	batchMax := flag.Int("batch-max", serve.DefaultMaxBatch, "max generation jobs per coalesced batch")
 	timeout := flag.Duration("timeout", serve.DefaultTimeout, "per-request generation timeout")
@@ -104,15 +102,16 @@ func main() {
 	}
 	logger.Printf("loaded %d model(s): %s", len(reg.Names()), strings.Join(reg.Names(), ", "))
 
-	logger.Printf("building dataset %s world (scale=%g seed=%d)...", *which, *scale, *seed)
-	world, err := serve.NewWorld(*which, dataset.Spec{Seed: *seed, Scale: *scale})
+	logger.Printf("building dataset world (scale=%g seed=%d)...", world.Scale, world.Seed)
+	ds, err := world.Build()
 	if err != nil {
-		logger.Fatal(err)
+		logger.Print(err)
+		os.Exit(2)
 	}
 
 	srv := serve.New(serve.Options{
 		Registry:    reg,
-		World:       world,
+		World:       serve.NewWorldFrom(ds),
 		BatchWindow: *batchWindow,
 		MaxBatch:    *batchMax,
 		Timeout:     *timeout,
@@ -181,7 +180,7 @@ func main() {
 		}
 	}()
 
-	logger.Printf("serving on %s (batch window %s, max batch %d)", *addr, *batchWindow, *batchMax)
+	logger.Printf("serving dataset %s on %s (batch window %s, max batch %d)", ds.Name, *addr, *batchWindow, *batchMax)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Fatal(err)
 	}

@@ -36,16 +36,13 @@ import (
 
 	"gendt/internal/core"
 	"gendt/internal/dataset"
-	"gendt/internal/scenario"
 	"gendt/internal/validate"
 )
 
 func main() {
 	model := flag.String("model", "", "trained model or training checkpoint to validate (required)")
-	which := flag.String("dataset", "A", "registered scenario name (A, B, NR5G, Tunnel, Suburb, ...)")
-	scenarioFile := flag.String("scenario-file", "", "load a scenario config file; it is registered under its [scenario] name and becomes the default -dataset")
-	scale := flag.Float64("scale", 0.05, "dataset scale (must match training)")
-	seed := flag.Int64("seed", 1, "validation seed (drives every generation in the suite)")
+	world := dataset.AddWorldFlags(flag.CommandLine, 0.05, " (must match training)")
+	flag.Lookup("seed").Usage += "; also the validation seed that drives every generation in the suite"
 	routes := flag.Int("routes", 4, "held-out routes for the distributional pass")
 	samples := flag.Int("samples", 2, "generation samples per route")
 	maxRouteLen := flag.Int("max-route-len", 150, "truncate held-out routes to N samples (negative = full routes)")
@@ -84,7 +81,7 @@ func main() {
 	}
 	if *corrupt != 0 {
 		fmt.Printf("corrupting model: gaussian sigma=%g over %d weights\n", *corrupt, m.ParamCount())
-		m.PerturbWeights(*corrupt, *seed+1)
+		m.PerturbWeights(*corrupt, world.Seed+1)
 	}
 	if *corruptOut != "" {
 		if err := m.SaveFile(*corruptOut); err != nil {
@@ -95,12 +92,7 @@ func main() {
 		return
 	}
 
-	dsName, err := resolveScenario(*which, *scenarioFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gendt-validate:", err)
-		os.Exit(2)
-	}
-	ds, err := dataset.NewByName(dsName, dataset.Spec{Seed: *seed, Scale: *scale})
+	ds, err := world.Build()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gendt-validate:", err)
 		os.Exit(2)
@@ -113,7 +105,7 @@ func main() {
 	}
 	opts := validate.Options{
 		Dataset: ds, Routes: *routes, SamplesPerRoute: *samples,
-		MaxRouteLen: *maxRouteLen, Seed: *seed, Workers: *workers,
+		MaxRouteLen: *maxRouteLen, Seed: world.Seed, Workers: *workers,
 		SkipHTTP:  *skipHTTP,
 		Precision: prec,
 		Logf:      func(f string, a ...any) { fmt.Printf(f+"\n", a...) },
@@ -167,27 +159,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("gendt-validate: all %d checks passed\n", len(rep.Checks))
-}
-
-// resolveScenario registers -scenario-file (if given) and picks the
-// dataset name: an explicit -dataset wins, otherwise the loaded file's
-// [scenario] name is used.
-func resolveScenario(name, file string) (string, error) {
-	if file == "" {
-		return name, nil
-	}
-	sc, err := scenario.RegisterFile(file)
-	if err != nil {
-		return "", err
-	}
-	explicit := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "dataset" {
-			explicit = true
-		}
-	})
-	if explicit {
-		return name, nil
-	}
-	return sc.Name, nil
 }

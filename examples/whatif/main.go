@@ -48,14 +48,7 @@ func main() {
 			maxID = c.ID
 		}
 	}
-	var newCells []gendt.Cell
-	for s := 0; s < 3; s++ {
-		newCells = append(newCells, gendt.Cell{
-			ID: maxID + 1 + s, Site: spot, PMaxDBm: 43,
-			Azimuth: float64(s) * 120, BeamWidth: 120, Height: 25,
-		})
-	}
-	augmented := data.WithExtraCells(newCells)
+	augmented := data.WithExtraCells(gendt.NewSiteAt(spot, maxID+1, 3, 43))
 
 	// Re-annotate the same trajectory against the augmented deployment and
 	// regenerate. (The ground-truth KPIs in this re-simulation are used

@@ -136,6 +136,9 @@ var (
 	LongComplexRun = dataset.LongComplexRun
 	// Partition splits runs into geographically contiguous subsets (§6.2.2).
 	Partition = dataset.Partition
+	// NewSiteAt builds the sectors of a hypothetical new cell site, the
+	// input to Dataset.WithExtraCells what-if analyses (§C.2).
+	NewSiteAt = dataset.NewSiteAt
 )
 
 // Generator is the common train/generate contract shared by GenDT and the

@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"gendt/internal/cells"
-	"gendt/internal/env"
 	"gendt/internal/geo"
 	"gendt/internal/metrics"
 	"gendt/internal/radio"
@@ -124,226 +123,38 @@ func NewByName(name string, spec Spec) (*Dataset, error) {
 		name, strings.Join(scenario.Names(), ", "))
 }
 
-// originA anchors Dataset A (a UK-like city centre).
-var originA = geo.Point{Lat: 55.9533, Lon: -3.1883}
+// NewDatasetA builds the Dataset A analogue (scenarios/dataset-a.toml): one
+// city with a dense core, three mobility scenarios (walk, bus, tram)
+// measured at 1 s granularity, split into train/test by geography.
+func NewDatasetA(spec Spec) *Dataset { return mustBuild("A", spec) }
 
-// originB anchors Dataset B (a German-like multi-city region).
-var originB = geo.Point{Lat: 51.5136, Lon: 7.4653}
+// NewDatasetB builds the Dataset B analogue (scenarios/dataset-b.toml): a
+// wide region with five city cores and connecting highway corridors, four
+// measurement scenarios (two city drives, two highways) at the coarser
+// granularities of Table 2. The long/complex trajectory of §6.1.3 is
+// produced by LongComplexRun against the same world.
+func NewDatasetB(spec Spec) *Dataset { return mustBuild("B", spec) }
 
-// NewDatasetA builds the Dataset A analogue: one city with a dense core,
-// three mobility scenarios (walk, bus, tram) measured at 1 s granularity.
-// Each scenario contributes several runs; runs are split into train/test by
-// geography (train routes in the western half, test routes in the east).
-func NewDatasetA(spec Spec) *Dataset {
-	rng := rand.New(rand.NewSource(spec.Seed))
-	// Deployment: dense urban core plus suburban ring.
-	cs := cells.Generate(cells.DeploymentSpec{
-		Origin: originA, ExtentKm: 4, SitesPerKm2: 7, Sectors: 3, Jitter: 0.2, PMaxJitter: 4,
-	}, rng)
-	ring := cells.Generate(cells.DeploymentSpec{
-		Origin: originA, ExtentKm: 12, SitesPerKm2: 1.2, Sectors: 3, Jitter: 0.25, PMaxJitter: 4,
-		FirstID: len(cs),
-	}, rng)
-	dep := cells.NewDeployment(append(cs, ring...), originA, 1000)
-	em := env.NewMap(env.MapSpec{
-		Origin: originA, ExtentKm: 14, CoreKm: 1.8, PoIPerKm2: 60, Seed: spec.Seed + 1,
-	})
-	w := sim.DefaultWorld(dep, em)
-	w.VisibleRange = 2000 // inner-city serving cells are close (paper §4.2)
-	w.WorldSeed = spec.Seed
-
-	d := &Dataset{Name: "A", World: w}
-	sc := spec.scale()
-
-	// Per paper Table 1: ~15000 samples per scenario at 1 s.
-	type scen struct {
-		name      string
-		profile   geo.SpeedProfile
-		duration  float64
-		turnEvery float64
-		gridSnap  bool
-	}
-	scens := []scen{
-		{ScenarioWalk, geo.WalkProfile, 15000 * sc, 90, true},
-		{ScenarioBus, geo.BusProfile, 14000 * sc, 75, true},
-		{ScenarioTram, geo.TramProfile, 14000 * sc, 120, false},
-	}
-	// Six runs per scenario: three train runs starting on the western arc
-	// of the core, three test runs on the eastern arc. Spreading the runs
-	// over several bearings keeps the two splits geographically disjoint
-	// (paper §6.1) while giving both splits comparable coverage statistics.
-	const runsPerScenario = 6
-	for si, s := range scens {
-		for ri := 0; ri < runsPerScenario; ri++ {
-			train := ri < runsPerScenario/2
-			var side float64
-			if train {
-				side = 225 + 45*float64(ri) // 225, 270, 315
-			} else {
-				side = 45 + 45*float64(ri-3) // 45, 90, 135
-			}
-			start := geo.Offset(originA, side, 900+400*float64(ri%3))
-			start = geo.Offset(start, float64(si)*37, 300)
-			routeRng := rand.New(rand.NewSource(spec.Seed + int64(100*si+ri)))
-			tr := geo.BuildRoute(geo.RouteSpec{
-				Start: start, Bearing: float64((si*90 + ri*45) % 360),
-				Duration: s.duration / runsPerScenario, Interval: 1,
-				Profile: s.profile, TurnEvery: s.turnEvery,
-				TurnJitter: 45, GridSnap: s.gridSnap,
-			}, routeRng)
-			ms := w.DriveTest(tr, rand.New(rand.NewSource(spec.Seed+int64(1000+100*si+ri))))
-			d.Runs = append(d.Runs, Run{Scenario: s.name, Train: train, Traj: tr, Meas: ms})
-		}
+// mustBuild is NewByName for the two committed configs the paper's
+// experiments are written against: they are parsed and bound when the
+// scenario package loads, so a failure here is a programming error.
+func mustBuild(name string, spec Spec) *Dataset {
+	d, err := NewByName(name, spec)
+	if err != nil {
+		panic("dataset: builtin scenario " + name + ": " + err.Error())
 	}
 	return d
 }
 
-// CityCenters returns the planar anchors of Dataset B's cities: the two
-// scenario cities plus the three long-trajectory cities (unused in
-// training), mirroring the paper's Dortmund-region layout.
+// CityCenters returns the anchors of Dataset B's cities, in [[center]]
+// order: the two scenario cities plus the three long-trajectory cities
+// (unused in training), mirroring the paper's Dortmund-region layout.
 func CityCenters() []geo.Point {
-	return []geo.Point{
-		originB,                         // city 1 (City Center 1 scenario)
-		geo.Offset(originB, 95, 20000),  // city 2 (City Center 2 scenario)
-		geo.Offset(originB, 215, 17000), // city 3 (long trajectory)
-		geo.Offset(originB, 180, 26000), // city 4 (long trajectory)
-		geo.Offset(originB, 140, 21000), // city 5 (long trajectory)
+	sc, ok := scenario.Lookup("B")
+	if !ok {
+		panic("dataset: builtin scenario B is not registered")
 	}
-}
-
-// NewDatasetB builds the Dataset B analogue: a wide region with five city
-// cores and connecting highway corridors; four measurement scenarios (two
-// city drives, two highways) at the coarser granularities of Table 2. The
-// long/complex trajectory of §6.1.3 is produced by LongComplexRun against
-// the same world.
-func NewDatasetB(spec Spec) *Dataset {
-	rng := rand.New(rand.NewSource(spec.Seed + 7))
-	centers := CityCenters()
-	var all []cells.Cell
-	next := 0
-	// Urban deployments around each city.
-	for i, c := range centers {
-		density := 4.0
-		extent := 6.0
-		if i >= 2 {
-			density = 3.0 // long-trajectory cities slightly sparser
-		}
-		cs := cells.Generate(cells.DeploymentSpec{
-			Origin: c, ExtentKm: extent, SitesPerKm2: density, Sectors: 3,
-			Jitter: 0.25, PMaxJitter: 4, FirstID: next,
-		}, rng)
-		all = append(all, cs...)
-		next += len(cs)
-	}
-	// Sparse rural background over the whole region.
-	bg := cells.Generate(cells.DeploymentSpec{
-		Origin: originB, ExtentKm: 60, SitesPerKm2: 0.12, Sectors: 3,
-		Jitter: 0.3, PMaxJitter: 4, FirstID: next,
-	}, rng)
-	all = append(all, bg...)
-	next += len(bg)
-	// Highway corridors: city1->city2 (Highway 1 scenario) and
-	// city3->city4->city5 (the long-trajectory route).
-	hw1 := cells.GenerateCorridor(originB, geo.Bearing(centers[0], centers[1]), 20, 2500, 46, next, rng)
-	all = append(all, hw1...)
-	next += len(hw1)
-	hw2 := cells.GenerateCorridor(geo.Offset(originB, 0, 8000), 80, 25, 2800, 46, next, rng)
-	all = append(all, hw2...)
-	next += len(hw2)
-	hwLong1 := cells.GenerateCorridor(centers[2], geo.Bearing(centers[2], centers[3]), 12, 2800, 46, next, rng)
-	all = append(all, hwLong1...)
-	next += len(hwLong1)
-	hwLong2 := cells.GenerateCorridor(centers[3], geo.Bearing(centers[3], centers[4]), 12, 2800, 46, next, rng)
-	all = append(all, hwLong2...)
-
-	dep := cells.NewDeployment(all, originB, 1500)
-	var cores []env.Core
-	for _, c := range centers {
-		cores = append(cores, env.Core{Center: c, RadiusKm: 1.8})
-	}
-	em := env.NewMap(env.MapSpec{
-		Origin: originB, ExtentKm: 64, CellM: 400, Cores: cores,
-		PoIPerKm2: 8, Seed: spec.Seed + 8,
-	})
-	w := sim.DefaultWorld(dep, em)
-	w.VisibleRange = 4000 // highways see cells up to ~4 km (paper §4.2)
-	w.WorldSeed = spec.Seed + 50
-
-	d := &Dataset{Name: "B", World: w}
-	sc := spec.scale()
-
-	// Table 2: city scenarios ~2.2e4 samples at ~3.5-3.8 s; highways
-	// ~4e4 samples at ~2.2 s.
-	type scen struct {
-		name     string
-		interval float64
-		duration float64
-	}
-	scens := []scen{
-		{ScenarioCity1, 3.8, 2.1e4 * 3.8 * sc},
-		{ScenarioCity2, 3.5, 2.3e4 * 3.5 * sc},
-		{ScenarioHighway1, 2.1, 3.9e4 * 2.1 * sc},
-		{ScenarioHighway2, 2.3, 4.6e4 * 2.3 * sc},
-	}
-	const runsPerScenario = 6
-	for si, s := range scens {
-		for ri := 0; ri < runsPerScenario; ri++ {
-			train := ri < runsPerScenario/2
-			routeRng := rand.New(rand.NewSource(spec.Seed + int64(500+100*si+ri)))
-			var tr geo.Trajectory
-			dur := s.duration / runsPerScenario
-			switch s.name {
-			case ScenarioCity1, ScenarioCity2:
-				center := centers[0]
-				if s.name == ScenarioCity2 {
-					center = centers[1]
-				}
-				// Train runs on the western arc, test runs on the eastern
-				// arc, at several bearings each.
-				var side float64
-				if train {
-					side = 225 + 45*float64(ri)
-				} else {
-					side = 45 + 45*float64(ri-3)
-				}
-				start := geo.Offset(center, side, 800+300*float64(ri%3))
-				tr = geo.BuildRoute(geo.RouteSpec{
-					Start: start, Bearing: float64((ri * 70) % 360),
-					Duration: dur, Interval: s.interval,
-					Profile: geo.CityDriveProfile, TurnEvery: 45,
-					TurnJitter: 40, GridSnap: true,
-				}, routeRng)
-			case ScenarioHighway1:
-				// Along the city1->city2 corridor; train runs use the first
-				// half, test runs the second half.
-				brg := geo.Bearing(centers[0], centers[1])
-				start := geo.Offset(originB, brg, 2000+1200*float64(ri%3))
-				if !train {
-					start = geo.Offset(originB, brg, 11000+1200*float64(ri%3))
-				}
-				tr = geo.BuildRoute(geo.RouteSpec{
-					Start: start, Bearing: brg,
-					Duration: dur, Interval: s.interval,
-					Profile: geo.HighwayProfile, TurnJitter: 5,
-				}, routeRng)
-			case ScenarioHighway2:
-				start := geo.Offset(originB, 0, 8000)
-				off := 1500 + 1500*float64(ri%3)
-				if !train {
-					off = 13000 + 1500*float64(ri%3)
-				}
-				start = geo.Offset(start, 80, off)
-				tr = geo.BuildRoute(geo.RouteSpec{
-					Start: start, Bearing: 80,
-					Duration: dur, Interval: s.interval,
-					Profile: geo.HighwayProfile, TurnJitter: 5,
-				}, routeRng)
-			}
-			ms := w.DriveTest(tr, rand.New(rand.NewSource(spec.Seed+int64(2000+100*si+ri))))
-			d.Runs = append(d.Runs, Run{Scenario: s.name, Train: train, Traj: tr, Meas: ms})
-		}
-	}
-	return d
+	return scenario.ResolveCenters(sc)
 }
 
 // LongComplexRun builds the paper's §6.1.3 test workload against Dataset

@@ -3,84 +3,83 @@ package dataset
 import (
 	"os"
 	"testing"
-
-	"gendt/internal/scenario"
 )
 
-// Committed fingerprints of the historical constructors at Seed=42,
-// Scale=0.05. If these change, dataset synthesis is no longer reproducing
-// the bytes every committed golden and trained model was built against.
+// Committed fingerprints of the worlds every golden, trained model and
+// benchmark in the repo was built against. They were captured from the
+// hand-written NewDatasetA/NewDatasetB constructors at commit 284ec64,
+// immediately before those were deleted in favour of
+// scenarios/dataset-{a,b}.toml; nothing compares against a second
+// implementation any more. If one changes, dataset synthesis no longer
+// reproduces those bytes.
 const (
-	goldenFingerprintA = 0x7d285f8fc7615375
-	goldenFingerprintB = 0x3785e9e56fd8c985
+	goldenFingerprintA = 0x7d285f8fc7615375 // seed 42, scale 0.05
+	goldenFingerprintB = 0x3785e9e56fd8c985 // seed 42, scale 0.05
+
+	goldenFingerprintABench = 0xbb678512598aa483 // seed 1, scale 0.05: the benchmark fixture's world
+	goldenFingerprintASmoke = 0x978b76e07ffd984f // seed 7, scale 0.02: every CI smoke's world
+
+	goldenFingerprintAFull = 0xe507ead5aa6fec47 // seed 42, scale 1.0
+	goldenFingerprintBFull = 0x001076d73180bd18 // seed 42, scale 1.0
+
+	// LongComplexRun over B at seed 42, scale 0.05: B's cells plus the
+	// long run's trajectory and measurements.
+	goldenFingerprintLong = 0x74b40e2d409c1a30
 )
 
-// TestScenarioGoldenBitIdentity proves the DSL-compiled datasets are
-// byte-identical to the historical hard-coded constructors: same cells,
-// same trajectories, same measurements, bit for bit. This is the lockdown
-// that lets NewByName route everything through scenario configs without a
-// regression risk.
-func TestScenarioGoldenBitIdentity(t *testing.T) {
-	spec := Spec{Seed: 42, Scale: 0.05}
-	cases := []struct {
-		name   string
-		legacy func(Spec) *Dataset
-		want   uint64
-	}{
-		{"A", NewDatasetA, goldenFingerprintA},
-		{"B", NewDatasetB, goldenFingerprintB},
-	}
+type goldenCase struct {
+	name string
+	spec Spec
+	want uint64
+}
+
+func checkGolden(t *testing.T, cases []goldenCase) {
+	t.Helper()
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			legacy := tc.legacy(spec)
-			lfp := legacy.Fingerprint()
-			if lfp != tc.want {
-				t.Errorf("legacy constructor fingerprint = %#x, committed golden %#x", lfp, tc.want)
-			}
-			sc, ok := scenario.Lookup(tc.name)
-			if !ok {
-				t.Fatalf("scenario %q not registered", tc.name)
-			}
-			built, err := FromScenario(sc, spec)
-			if err != nil {
-				t.Fatalf("FromScenario(%q): %v", tc.name, err)
-			}
-			bfp := built.Fingerprint()
-			if bfp != lfp {
-				t.Errorf("DSL-compiled fingerprint = %#x, legacy constructor = %#x", bfp, lfp)
-			}
-			if len(built.Runs) != len(legacy.Runs) {
-				t.Fatalf("run count: DSL %d, legacy %d", len(built.Runs), len(legacy.Runs))
-			}
-			for i := range built.Runs {
-				if built.Runs[i].Scenario != legacy.Runs[i].Scenario || built.Runs[i].Train != legacy.Runs[i].Train {
-					t.Errorf("run %d: DSL (%q train=%v), legacy (%q train=%v)", i,
-						built.Runs[i].Scenario, built.Runs[i].Train,
-						legacy.Runs[i].Scenario, legacy.Runs[i].Train)
-				}
-			}
-		})
+		d, err := NewByName(tc.name, tc.spec)
+		if err != nil {
+			t.Fatalf("NewByName(%q, %+v): %v", tc.name, tc.spec, err)
+		}
+		if got := d.Fingerprint(); got != tc.want {
+			t.Errorf("%s %+v: fingerprint %#x, committed golden %#x", tc.name, tc.spec, got, tc.want)
+		}
 	}
 }
 
-// TestScenarioGoldenBitIdentityFullScale repeats the identity check at
-// Scale=1.0 — the paper-sized datasets. Building both copies of A and B at
-// full scale takes minutes, so the test only runs when asked:
+// TestScenarioGoldenBitIdentity pins the registry-built A and B — cells,
+// trajectories, measurements, bit for bit — to the committed constants.
+func TestScenarioGoldenBitIdentity(t *testing.T) {
+	checkGolden(t, []goldenCase{
+		{"A", Spec{Seed: 42, Scale: 0.05}, goldenFingerprintA},
+		{"B", Spec{Seed: 42, Scale: 0.05}, goldenFingerprintB},
+		{"A", Spec{Seed: 1, Scale: 0.05}, goldenFingerprintABench},
+		{"A", Spec{Seed: 7, Scale: 0.02}, goldenFingerprintASmoke},
+	})
+	// NewDatasetA/B are the same lookup, so they land on the same bytes.
+	if got := NewDatasetA(Spec{Seed: 42, Scale: 0.05}).Fingerprint(); got != goldenFingerprintA {
+		t.Errorf("NewDatasetA: fingerprint %#x, committed golden %#x", got, uint64(goldenFingerprintA))
+	}
+	spec := Spec{Seed: 42, Scale: 0.05}
+	b := NewDatasetB(spec)
+	if got := b.Fingerprint(); got != goldenFingerprintB {
+		t.Errorf("NewDatasetB: fingerprint %#x, committed golden %#x", got, uint64(goldenFingerprintB))
+	}
+	long := &Dataset{Name: "Long", World: b.World, Runs: []Run{LongComplexRun(b, spec)}}
+	if got := long.Fingerprint(); got != goldenFingerprintLong {
+		t.Errorf("LongComplexRun(B): fingerprint %#x, committed golden %#x", got, uint64(goldenFingerprintLong))
+	}
+}
+
+// TestScenarioGoldenBitIdentityFullScale repeats the pin at Scale=1.0 —
+// the paper-sized datasets, which take most of a minute to build, so the
+// test only runs when asked:
 // GENDT_FULL_SCALE_GOLDEN=1 go test ./internal/dataset -run FullScale
 func TestScenarioGoldenBitIdentityFullScale(t *testing.T) {
 	if os.Getenv("GENDT_FULL_SCALE_GOLDEN") == "" {
-		t.Skip("set GENDT_FULL_SCALE_GOLDEN=1 to run the full-scale identity check")
+		t.Skip("set GENDT_FULL_SCALE_GOLDEN=1 to run the full-scale pin")
 	}
-	spec := Spec{Seed: 42, Scale: 1.0}
-	for _, name := range []string{"A", "B"} {
-		legacy := map[string]func(Spec) *Dataset{"A": NewDatasetA, "B": NewDatasetB}[name](spec)
-		sc, _ := scenario.Lookup(name)
-		built, err := FromScenario(sc, spec)
-		if err != nil {
-			t.Fatalf("FromScenario(%q): %v", name, err)
-		}
-		if got, want := built.Fingerprint(), legacy.Fingerprint(); got != want {
-			t.Errorf("%s: full-scale DSL fingerprint %#x != legacy %#x", name, got, want)
-		}
-	}
+	checkGolden(t, []goldenCase{
+		{"A", Spec{Seed: 42, Scale: 1.0}, goldenFingerprintAFull},
+		{"B", Spec{Seed: 42, Scale: 1.0}, goldenFingerprintBFull},
+	})
 }

@@ -9,9 +9,9 @@ import (
 	"gendt/internal/scenario"
 )
 
-// FromScenario compiles a bound scenario into a Dataset — the path every
-// registered config file (including A and B themselves) takes through
-// NewByName.
+// FromScenario compiles a bound scenario into a Dataset — the one way a
+// world is built: every registered config file, A and B included, takes
+// this path through NewByName.
 func FromScenario(sc *scenario.Scenario, spec Spec) (*Dataset, error) {
 	w, built, err := scenario.Build(sc, spec.Seed, spec.scale())
 	if err != nil {
@@ -27,9 +27,8 @@ func FromScenario(sc *scenario.Scenario, spec Spec) (*Dataset, error) {
 // Fingerprint hashes everything observable about the dataset — deployment
 // cells, every trajectory sample, and every measurement including context
 // annotations — with FNV-64a over exact float bits. Two datasets share a
-// fingerprint iff they are bit-identical, which is how the golden
-// regression test proves the DSL-compiled A/B equal the historical
-// constructors.
+// fingerprint iff they are bit-identical, which is how golden_test.go pins
+// the committed A/B configs to constants.
 func (d *Dataset) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

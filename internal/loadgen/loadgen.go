@@ -125,8 +125,11 @@ func Run(cfg RunConfig, trace *Trace) (Report, error) {
 
 	rep := summarize(cfg, trace, results)
 	if histBefore != nil {
-		histAfter, _ := fetchBatchHist(client, cfg.Target)
-		rep.BatchSizeHist = diffBatchHist(histBefore, histAfter)
+		if histAfter, _ := fetchBatchHist(client, cfg.Target); histAfter != nil {
+			if d := histAfter.Sub(*histBefore); d.Count > 0 {
+				rep.BatchSizeHist = &d
+			}
+		}
 	}
 	return rep, nil
 }

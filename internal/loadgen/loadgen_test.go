@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gendt/internal/dataset"
 	"gendt/internal/serve"
 )
 
@@ -88,18 +89,19 @@ func TestTraceRequestsDeterministic(t *testing.T) {
 	}
 }
 
-// BuildTrace must be a pure function of its spec, and its routes must come
-// from the named world.
+// BuildTrace must be a pure function of its world and spec, and its routes
+// must come from that world.
 func TestBuildTraceDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a dataset world")
 	}
-	spec := TraceSpec{Dataset: "A", Scale: 0.015, Seed: 11, Routes: 3, Steps: 20, RNGSeed: 5}
-	a, err := BuildTrace(spec)
+	d := dataset.NewDatasetA(dataset.Spec{Scale: 0.015, Seed: 11})
+	spec := TraceSpec{Routes: 3, Steps: 20, RNGSeed: 5}
+	a, err := BuildTrace(d, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildTrace(spec)
+	b, err := BuildTrace(d, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,18 +17,10 @@ import (
 	"gendt/internal/serve"
 )
 
-// TraceSpec pins everything a request trace is derived from. Two equal
-// specs synthesize byte-identical traces: routes come from the named
-// dataset world (which the serving fleet must also be running) and all
-// randomness flows from RNGSeed.
+// TraceSpec pins everything a request trace is derived from besides the
+// world itself. Two equal specs over the same world synthesize
+// byte-identical traces: all randomness flows from RNGSeed.
 type TraceSpec struct {
-	// Dataset/Scale/Seed identify the resident world; they must match the
-	// -dataset/-scale/-seed the serving replicas were started with or the
-	// generated KPIs are for a different city.
-	Dataset string
-	Scale   float64
-	Seed    int64
-
 	// Routes is the number of distinct trajectories in the trace. The
 	// generator cycles through them, so this controls how concentrated the
 	// fleet's prepared-sequence caches are.
@@ -45,15 +37,6 @@ type TraceSpec struct {
 }
 
 func (s TraceSpec) withDefaults() TraceSpec {
-	if s.Dataset == "" {
-		s.Dataset = "A"
-	}
-	if s.Scale <= 0 {
-		s.Scale = 0.05
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
 	if s.Routes <= 0 {
 		s.Routes = 8
 	}
@@ -74,20 +57,15 @@ type Trace struct {
 	rng    *rand.Rand
 }
 
-// BuildTrace synthesizes the trace from the spec's resident world: it
-// builds the dataset (the same construction the serving fleet ran at
-// startup), pools its scenario trajectories, and picks Routes of them with
-// the seeded RNG. Building the world is the expensive part — do it once and
-// replay the trace many times.
-func BuildTrace(spec TraceSpec) (*Trace, error) {
+// BuildTrace synthesizes the trace from d, which must be the world the
+// serving fleet holds resident (same scenario, scale and seed) or the
+// generated KPIs are for a different city: it pools d's scenario
+// trajectories and picks Routes of them with the seeded RNG.
+func BuildTrace(d *dataset.Dataset, spec TraceSpec) (*Trace, error) {
 	spec = spec.withDefaults()
-	d, err := dataset.NewByName(spec.Dataset, dataset.Spec{Seed: spec.Seed, Scale: spec.Scale})
-	if err != nil {
-		return nil, err
-	}
 	runs := append(d.TrainRuns(), d.TestRuns()...)
 	if len(runs) == 0 {
-		return nil, fmt.Errorf("loadgen: dataset %s has no runs", spec.Dataset)
+		return nil, fmt.Errorf("loadgen: dataset %s has no runs", d.Name)
 	}
 	rng := rand.New(rand.NewSource(spec.RNGSeed))
 	routes := make([][]serve.RoutePoint, 0, spec.Routes)

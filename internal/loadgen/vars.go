@@ -44,27 +44,3 @@ func fetchBatchHist(client *http.Client, target string) (*serve.SizeHistogramSna
 	}
 	return &v.Generate.BatchSizeHist, nil
 }
-
-// diffBatchHist subtracts two cumulative batch-size snapshots, isolating
-// the batches executed between them (this replay window's coalescing
-// behaviour). Returns nil when either side is missing or nothing ran.
-func diffBatchHist(before, after *serve.SizeHistogramSnap) *serve.SizeHistogramSnap {
-	if before == nil || after == nil {
-		return nil
-	}
-	n := after.Count - before.Count
-	if n <= 0 {
-		return nil
-	}
-	d := &serve.SizeHistogramSnap{
-		Count:   n,
-		Mean:    (after.Mean*float64(after.Count) - before.Mean*float64(before.Count)) / float64(n),
-		Buckets: make(map[string]int64),
-	}
-	for k, v := range after.Buckets {
-		if dv := v - before.Buckets[k]; dv > 0 {
-			d.Buckets[k] = dv
-		}
-	}
-	return d
-}

@@ -310,26 +310,6 @@ func TestCheckBudget(t *testing.T) {
 	}
 }
 
-func TestHistQuantile(t *testing.T) {
-	buckets := map[string]int64{"10": 90, "50": 9, "200": 1}
-	if got := histQuantile(buckets, 0.99); got != 50 {
-		t.Errorf("p99 = %v, want 50 (rank 99 of 100 lands in le=50)", got)
-	}
-	if got := histQuantile(buckets, 0.5); got != 10 {
-		t.Errorf("p50 = %v, want 10", got)
-	}
-	if got := histQuantile(map[string]int64{"10": 1}, 0.99); got != 10 {
-		t.Errorf("single bucket p99 = %v, want 10", got)
-	}
-	if got := histQuantile(nil, 0.99); got != 0 {
-		t.Errorf("empty histogram p99 = %v, want 0", got)
-	}
-	inf := histQuantile(map[string]int64{"10": 1, "+Inf": 99}, 0.99)
-	if !(inf > 1e308) {
-		t.Errorf("overflow-dominated p99 = %v, want +Inf", inf)
-	}
-}
-
 func TestWindowFromDeltas(t *testing.T) {
 	pre := lb.VarsSnap{Requests: 100, Errors: 1,
 		Latency: serve.HistogramSnap{Buckets: map[string]int64{"10": 99, "50": 1}}}

@@ -2,12 +2,8 @@ package rollout
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"strconv"
 
 	"gendt/internal/lb"
-	"gendt/internal/serve"
 )
 
 // budgetBaseline is the pre-rollout health the post-readmit windows are
@@ -32,7 +28,7 @@ func baselineFrom(v lb.VarsSnap) budgetBaseline {
 	if v.Requests > 0 {
 		b.errRate = float64(v.Errors) / float64(v.Requests)
 	}
-	b.p99ms = histQuantile(v.Latency.Buckets, 0.99)
+	b.p99ms = v.Latency.Quantile(0.99)
 	return b
 }
 
@@ -41,7 +37,7 @@ func windowFrom(pre, post lb.VarsSnap) windowStats {
 	if w.requests > 0 {
 		w.errRate = float64(post.Errors-pre.Errors) / float64(w.requests)
 	}
-	w.p99ms = histQuantile(deltaBuckets(post.Latency, pre.Latency), 0.99)
+	w.p99ms = post.Latency.Sub(pre.Latency).Quantile(0.99)
 	return w
 }
 
@@ -64,61 +60,4 @@ func checkBudget(base budgetBaseline, w windowStats, errBudget, p99Factor float6
 		}
 	}
 	return nil
-}
-
-// deltaBuckets subtracts two cumulative histogram snapshots bucket-wise,
-// yielding the counts observed between them. Buckets absent from a
-// snapshot are zero (HistogramSnap omits empty buckets).
-func deltaBuckets(post, pre serve.HistogramSnap) map[string]int64 {
-	out := make(map[string]int64, len(post.Buckets))
-	for k, n := range post.Buckets {
-		if d := n - pre.Buckets[k]; d > 0 {
-			out[k] = d
-		}
-	}
-	return out
-}
-
-// histQuantile is the nearest-rank quantile over a bucketed latency
-// histogram keyed by integral-millisecond upper bounds plus "+Inf". It
-// returns the upper bound of the bucket the rank lands in (+Inf for the
-// overflow bucket), or 0 for an empty histogram.
-func histQuantile(buckets map[string]int64, q float64) float64 {
-	type bucket struct {
-		le float64
-		n  int64
-	}
-	bs := make([]bucket, 0, len(buckets))
-	var total int64
-	for k, n := range buckets {
-		if n <= 0 {
-			continue
-		}
-		le := math.Inf(1)
-		if k != "+Inf" {
-			v, err := strconv.ParseFloat(k, 64)
-			if err != nil {
-				continue
-			}
-			le = v
-		}
-		bs = append(bs, bucket{le: le, n: n})
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	sort.Slice(bs, func(i, j int) bool { return bs[i].le < bs[j].le })
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for _, b := range bs {
-		cum += b.n
-		if cum >= rank {
-			return b.le
-		}
-	}
-	return bs[len(bs)-1].le
 }

@@ -11,8 +11,8 @@ import (
 // Scenario is a bound, schema-validated scenario description — the
 // compiler's input. Optional knobs carry presence flags where "absent"
 // and "zero" must compile differently (an absent nudge offset must not
-// emit a geo.Offset call at all, or the floats drift from the historical
-// constructors).
+// emit a geo.Offset call at all, or the floats drift from the pinned
+// Dataset A/B fingerprints).
 type Scenario struct {
 	// Name is the registry key (matched case-insensitively by Lookup) and
 	// becomes the built Dataset's Name.

@@ -29,16 +29,16 @@ type BuiltRun struct {
 // seed+SeedOffset consumed by the layouts in declaration order, one route
 // rng per run at seed+RouteSeedBase+runIndex, and one measurement rng per
 // run at seed+DriveSeedBase+runIndex — so runs are independent of each
-// other and of layout count. The arithmetic below deliberately mirrors
-// the historical NewDatasetA/NewDatasetB constructors operation for
-// operation (same geo.Offset call sites, same multiply-then-add order) so
-// that scenarios/dataset-a.toml and dataset-b.toml compile bit-identically
-// to them; see TestScenarioGoldenBitIdentity.
+// other and of layout count. The order of operations below (which
+// geo.Offset calls are made, multiply-then-add) is part of that contract:
+// the fingerprints of scenarios/dataset-a.toml and dataset-b.toml are
+// committed constants in internal/dataset/golden_test.go, and every golden
+// and trained model in the repo was built against those bytes.
 func Build(sc *Scenario, seed int64, scale float64) (*sim.World, []BuiltRun, error) {
 	if scale <= 0 {
 		scale = 1
 	}
-	centers := resolveCenters(sc)
+	centers := ResolveCenters(sc)
 	anchorOf := func(idx int) geo.Point {
 		if idx < 0 {
 			return sc.Origin
@@ -153,11 +153,11 @@ func Build(sc *Scenario, seed int64, scale float64) (*sim.World, []BuiltRun, err
 	return w, runs, nil
 }
 
-// resolveCenters turns [[center]] offsets into points. A zero distance
-// yields the origin verbatim (geo.Offset(p, b, 0) is not a bit-exact
-// identity, and the historical constructors anchor their first city at the
-// origin itself).
-func resolveCenters(sc *Scenario) []geo.Point {
+// ResolveCenters turns [[center]] offsets into points. A zero distance
+// yields the origin verbatim: geo.Offset(p, b, 0) is not a bit-exact
+// identity, and the pinned Dataset B anchors its first city at the origin
+// itself.
+func ResolveCenters(sc *Scenario) []geo.Point {
 	out := make([]geo.Point, len(sc.Centers))
 	for i, c := range sc.Centers {
 		if c.DistanceM == 0 {

@@ -3,11 +3,9 @@
 // propagation and shadowing, cell/site layout, sector gain, mobility,
 // load dynamics, and measurement granularity — compiled into the existing
 // sim.World machinery so new measurement regimes need a config file, not
-// Go code. Dataset A and Dataset B are themselves expressed in this DSL
-// (scenarios/dataset-a.toml, scenarios/dataset-b.toml) and compile
-// bit-identically to the historical hard-coded constructors; that
-// equivalence is locked down by a golden fingerprint test in
-// internal/dataset.
+// Go code. Dataset A and Dataset B are themselves defined in this DSL
+// (scenarios/dataset-a.toml, scenarios/dataset-b.toml); the bytes they
+// compile to are pinned by fingerprint constants in internal/dataset.
 //
 // The package splits parsing into two layers: Parse produces a raw Doc
 // (sections of typed key/value pairs, syntax-validated only), and Bind

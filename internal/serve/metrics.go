@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -11,78 +14,133 @@ import (
 // logarithmic latency histogram; the final implicit bucket is +Inf.
 var latencyBucketsMs = [...]float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000}
 
-// Histogram is a fixed-bucket latency histogram with atomic counters; safe
-// for concurrent observation without locks. The zero value is ready to use.
-// It is exported so sibling serving-tier packages (the gendt-lb front tier)
-// report latency in the same buckets and JSON shape as gendt-serve.
-type Histogram struct {
-	counts  [len(latencyBucketsMs) + 1]atomic.Int64
-	sumNs   atomic.Int64
-	observe atomic.Int64
+// sizeBuckets are the upper bounds of the realized-batch-size histogram
+// (requests coalesced per GenerateJobs call); the final implicit bucket
+// is +Inf. Powers of two up to DefaultMaxBatch — a batch of 1 means no
+// coalescing happened, the top buckets mean the window is doing its job.
+var sizeBuckets = [...]float64{1, 2, 4, 8, 16, 32, 64}
+
+// bucketCounter is the atomic fixed-bucket counter behind both exported
+// histograms: counts[i] holds the observations above bounds[i-1] and up to
+// bounds[i], the slot after the last bound is +Inf. Safe for concurrent
+// observation without locks; the zero value is ready to use.
+type bucketCounter struct {
+	counts [len(latencyBucketsMs) + 1]atomic.Int64 // the longer bounds list plus +Inf
+	sum    atomic.Int64
+	n      atomic.Int64
 }
 
-func (h *Histogram) Observe(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
+func (c *bucketCounter) observe(bounds []float64, v float64, add int64) {
 	i := 0
-	for i < len(latencyBucketsMs) && ms > latencyBucketsMs[i] {
+	for i < len(bounds) && v > bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.sumNs.Add(int64(d))
-	h.observe.Add(1)
+	c.counts[i].Add(1)
+	c.sum.Add(add)
+	c.n.Add(1)
+}
+
+// snap is a rendered bucketCounter: the count, the mean of the added
+// values, and the non-empty buckets keyed by their integral upper bound.
+// HistogramSnap and SizeHistogramSnap are this struct under two sets of
+// JSON names, so they convert to it and share its arithmetic.
+type snap struct {
+	Count   int64
+	Mean    float64
+	Buckets map[string]int64
+}
+
+func (c *bucketCounter) snapshot(bounds []float64, unit float64) snap {
+	s := snap{Count: c.n.Load(), Buckets: make(map[string]int64, len(bounds)+1)}
+	if s.Count > 0 {
+		s.Mean = float64(c.sum.Load()) / float64(s.Count) / unit
+	}
+	for i := 0; i <= len(bounds); i++ {
+		if n := c.counts[i].Load(); n > 0 {
+			s.Buckets[bucketKey(bounds, i)] = n
+		}
+	}
+	return s
+}
+
+// bucketKey names bucket i of a bounds list the way the JSON does.
+func bucketKey(bounds []float64, i int) string {
+	if i == len(bounds) {
+		return "+Inf"
+	}
+	return strconv.Itoa(int(bounds[i]))
+}
+
+// sub subtracts the earlier cumulative snapshot pre, leaving what was
+// observed between the two. Buckets absent from a snapshot are zero.
+func (s snap) sub(pre snap) snap {
+	d := snap{Count: s.Count - pre.Count, Buckets: make(map[string]int64, len(s.Buckets))}
+	if d.Count > 0 {
+		d.Mean = (s.Mean*float64(s.Count) - pre.Mean*float64(pre.Count)) / float64(d.Count)
+	}
+	for k, n := range s.Buckets {
+		if dn := n - pre.Buckets[k]; dn > 0 {
+			d.Buckets[k] = dn
+		}
+	}
+	return d
+}
+
+// quantile is the nearest-rank quantile over the buckets: the upper bound
+// of the bucket the rank lands in, +Inf for the overflow bucket, 0 for an
+// empty histogram.
+func (s snap) quantile(bounds []float64, q float64) float64 {
+	var total int64
+	for _, n := range s.Buckets {
+		total += n
+	}
+	if total == 0 {
+		return 0
+	}
+	rank := max(int64(math.Ceil(q*float64(total))), 1)
+	var cum int64
+	for i, le := range bounds {
+		if cum += s.Buckets[bucketKey(bounds, i)]; cum >= rank {
+			return le
+		}
+	}
+	return math.Inf(1)
+}
+
+// Histogram is a fixed-bucket latency histogram. It is exported so sibling
+// serving-tier packages (the gendt-lb front tier) report latency in the
+// same buckets and JSON shape as gendt-serve.
+type Histogram struct{ c bucketCounter }
+
+func (h *Histogram) Observe(d time.Duration) {
+	h.c.observe(latencyBucketsMs[:], float64(d)/float64(time.Millisecond), int64(d))
 }
 
 // HistogramSnap is the JSON rendering of a Histogram.
 type HistogramSnap struct {
 	Count   int64            `json:"count"`
-	MeanMs  float64          `json:"mean_ms"`
+	Mean    float64          `json:"mean_ms"`
 	Buckets map[string]int64 `json:"buckets_le_ms"`
 }
 
 // Snapshot renders the histogram's current counts.
 func (h *Histogram) Snapshot() HistogramSnap {
-	s := HistogramSnap{Buckets: make(map[string]int64, len(latencyBucketsMs)+1)}
-	s.Count = h.observe.Load()
-	if s.Count > 0 {
-		s.MeanMs = float64(h.sumNs.Load()) / float64(s.Count) / float64(time.Millisecond)
-	}
-	for i := range latencyBucketsMs {
-		if n := h.counts[i].Load(); n > 0 {
-			s.Buckets[fmtMs(latencyBucketsMs[i])] = n
-		}
-	}
-	if n := h.counts[len(latencyBucketsMs)].Load(); n > 0 {
-		s.Buckets["+Inf"] = n
-	}
-	return s
+	return HistogramSnap(h.c.snapshot(latencyBucketsMs[:], float64(time.Millisecond)))
 }
 
-// Bucket bounds are integral milliseconds.
-func fmtMs(v float64) string { return strconv.Itoa(int(v)) }
-
-// sizeBuckets are the upper bounds of the realized-batch-size histogram
-// (requests coalesced per GenerateJobs call); the final implicit bucket
-// is +Inf. Powers of two up to DefaultMaxBatch — a batch of 1 means no
-// coalescing happened, the top buckets mean the window is doing its job.
-var sizeBuckets = [...]int64{1, 2, 4, 8, 16, 32, 64}
-
-// SizeHistogram counts integer observations in fixed power-of-two
-// buckets; safe for concurrent use. The zero value is ready to use.
-type SizeHistogram struct {
-	counts [len(sizeBuckets) + 1]atomic.Int64
-	sum    atomic.Int64
-	n      atomic.Int64
+// Sub returns the observations made after pre was taken and up to s.
+func (s HistogramSnap) Sub(pre HistogramSnap) HistogramSnap {
+	return HistogramSnap(snap(s).sub(snap(pre)))
 }
 
-func (h *SizeHistogram) Observe(v int) {
-	i := 0
-	for i < len(sizeBuckets) && int64(v) > sizeBuckets[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sum.Add(int64(v))
-	h.n.Add(1)
-}
+// Quantile is the nearest-rank latency quantile in milliseconds, to bucket
+// resolution.
+func (s HistogramSnap) Quantile(q float64) float64 { return snap(s).quantile(latencyBucketsMs[:], q) }
+
+// SizeHistogram counts integer observations in fixed power-of-two buckets.
+type SizeHistogram struct{ c bucketCounter }
+
+func (h *SizeHistogram) Observe(v int) { h.c.observe(sizeBuckets[:], float64(v), int64(v)) }
 
 // SizeHistogramSnap is the JSON rendering of a SizeHistogram.
 type SizeHistogramSnap struct {
@@ -93,20 +151,24 @@ type SizeHistogramSnap struct {
 
 // Snapshot renders the histogram's current counts.
 func (h *SizeHistogram) Snapshot() SizeHistogramSnap {
-	s := SizeHistogramSnap{Buckets: make(map[string]int64, len(sizeBuckets)+1)}
-	s.Count = h.n.Load()
-	if s.Count > 0 {
-		s.Mean = float64(h.sum.Load()) / float64(s.Count)
-	}
-	for i, b := range sizeBuckets {
-		if n := h.counts[i].Load(); n > 0 {
-			s.Buckets[strconv.FormatInt(b, 10)] = n
+	return SizeHistogramSnap(h.c.snapshot(sizeBuckets[:], 1))
+}
+
+// Sub returns the observations made after pre was taken and up to s.
+func (s SizeHistogramSnap) Sub(pre SizeHistogramSnap) SizeHistogramSnap {
+	return SizeHistogramSnap(snap(s).sub(snap(pre)))
+}
+
+// BucketString renders the non-empty buckets as "le:count" in ascending
+// bound order, "+Inf" last, e.g. "1:12 2:3 8:1".
+func (s SizeHistogramSnap) BucketString() string {
+	var parts []string
+	for i := 0; i <= len(sizeBuckets); i++ {
+		if k := bucketKey(sizeBuckets[:], i); s.Buckets[k] > 0 {
+			parts = append(parts, fmt.Sprintf("%s:%d", k, s.Buckets[k]))
 		}
 	}
-	if n := h.counts[len(sizeBuckets)].Load(); n > 0 {
-		s.Buckets["+Inf"] = n
-	}
-	return s
+	return strings.Join(parts, " ")
 }
 
 // endpointStats tracks one endpoint's request count, error count, in-flight

@@ -63,10 +63,7 @@ func setup(t *testing.T) {
 			fix.err = err
 			return
 		}
-		fix.world, fix.err = NewWorld("A", fixSpec)
-		if fix.err != nil {
-			return
-		}
+		fix.world = NewWorldFrom(d)
 		tr := d.TestRuns()[0].Traj
 		if len(tr) > 40 {
 			tr = tr[:40]
@@ -357,7 +354,7 @@ func TestConcurrentClients(t *testing.T) {
 	if got := st.InFlight.Load(); got != 0 {
 		t.Fatalf("in-flight gauge %d after drain", got)
 	}
-	if st.Latency.observe.Load() != clients*perClient {
+	if st.Latency.Snapshot().Count != clients*perClient {
 		t.Fatal("latency histogram missed observations")
 	}
 	// The prep cache must absorb the repeated route rather than
@@ -579,10 +576,7 @@ func TestDebugVars(t *testing.T) {
 
 func TestPrepCacheReuse(t *testing.T) {
 	setup(t)
-	w, err := NewWorld("A", fixSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWorldFrom(dataset.NewDatasetA(fixSpec))
 	m, err := core.LoadFile(fix.modelPath)
 	if err != nil {
 		t.Fatal(err)

@@ -30,24 +30,14 @@ type World struct {
 // routes hold per-step cell/env tensors, so the cap is deliberately small).
 const DefaultPrepCache = 64
 
-// NewWorld builds the dataset world once; name is "A" or "B".
-func NewWorld(name string, spec dataset.Spec) (*World, error) {
-	ds, err := dataset.NewByName(name, spec)
-	if err != nil {
-		return nil, err
-	}
-	return NewWorldFrom(ds), nil
-}
-
-// NewWorldFrom wraps an already-built dataset. Callers that need both the
-// raw dataset (held-out runs, simulator ground truth) and a serving world —
-// the statistical validation gate is one — construct the dataset once and
-// share it instead of paying for world synthesis twice.
+// NewWorldFrom wraps a built dataset, so a caller that also needs the raw
+// dataset (held-out runs, simulator ground truth) — the statistical
+// validation gate is one — builds the world once and shares it.
 func NewWorldFrom(ds *dataset.Dataset) *World {
 	return &World{ds: ds, name: ds.Name, cache: make(map[uint64]*core.Sequence), limit: DefaultPrepCache}
 }
 
-// Name reports which dataset world is resident ("A" or "B").
+// Name reports which dataset world is resident (its scenario name).
 func (w *World) Name() string { return w.name }
 
 // Dataset exposes the resident dataset (tests pull known routes from it).
