@@ -17,7 +17,7 @@
 //	            [-model NAME] [-routes 8] [-steps 120]
 //	            [-samples 1] [-trace-seed 1]
 //	            [-rps 20] [-duration 10s] [-warmup 2s]
-//	            [-arrival poisson|fixed] [-timeout 30s]
+//	            [-arrival poisson|fixed|bursty] [-timeout 30s]
 //	            [-sweep 10,20,40,80] [-name lb-2x] [-out report.json]
 //	            [-max-error-rate 0.01]
 //	            [-verify-against http://127.0.0.1:8081 -verify-n 4]
@@ -48,7 +48,7 @@ func main() {
 	rps := flag.Float64("rps", 20, "offered request rate")
 	duration := flag.Duration("duration", 10*time.Second, "arrival window per rate")
 	warmup := flag.Duration("warmup", 2*time.Second, "initial span excluded from statistics")
-	arrival := flag.String("arrival", loadgen.ArrivalPoisson, "arrival process: poisson or fixed")
+	arrival := flag.String("arrival", loadgen.ArrivalPoisson, "arrival process: poisson, fixed, or bursty (2-12 requests inside 200µs, then a gap)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	sweep := flag.String("sweep", "", "comma-separated RPS ladder (overrides -rps; locates the saturation knee)")
 	name := flag.String("name", "", "report name (the BENCH_serve.json entry key)")

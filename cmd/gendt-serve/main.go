@@ -18,7 +18,7 @@
 //	gendt-serve -model gendt-model.json [-model name=path ...]
 //	            [-addr :8080] [-dataset NAME] [-scenario-file F.toml]
 //	            [-scale F] [-seed N]
-//	            [-batch-window 2ms] [-batch-max 64]
+//	            [-batch-max 64]
 //	            [-max-body 8388608] [-max-samples 64] [-workers N]
 //	            [-timeout 30s] [-precision f64|f32|int8]
 //	            [-pprof-addr 127.0.0.1:6060]
@@ -72,7 +72,6 @@ func main() {
 	flag.Var(&models, "model", "trained model to serve, as path or name=path (repeatable)")
 	addr := flag.String("addr", ":8080", "listen address")
 	world := dataset.AddWorldFlags(flag.CommandLine, 0.05, " (must match training)")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "micro-batching window; 0 coalesces only queued requests")
 	batchMax := flag.Int("batch-max", serve.DefaultMaxBatch, "max generation jobs per coalesced batch")
 	timeout := flag.Duration("timeout", serve.DefaultTimeout, "per-request generation timeout")
 	maxBody := flag.Int64("max-body", serve.DefaultMaxBody, "max request body bytes")
@@ -110,13 +109,12 @@ func main() {
 	}
 
 	srv := serve.New(serve.Options{
-		Registry:    reg,
-		World:       serve.NewWorldFrom(ds),
-		BatchWindow: *batchWindow,
-		MaxBatch:    *batchMax,
-		Timeout:     *timeout,
-		MaxBody:     *maxBody,
-		MaxSamples:  *maxSamples,
+		Registry:   reg,
+		World:      serve.NewWorldFrom(ds),
+		MaxBatch:   *batchMax,
+		Timeout:    *timeout,
+		MaxBody:    *maxBody,
+		MaxSamples: *maxSamples,
 	})
 
 	httpSrv := &http.Server{
@@ -180,7 +178,7 @@ func main() {
 		}
 	}()
 
-	logger.Printf("serving dataset %s on %s (batch window %s, max batch %d)", ds.Name, *addr, *batchWindow, *batchMax)
+	logger.Printf("serving dataset %s on %s (max batch %d)", ds.Name, *addr, *batchMax)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Fatal(err)
 	}

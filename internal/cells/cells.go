@@ -6,10 +6,11 @@
 package cells
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"gendt/internal/geo"
 )
@@ -69,6 +70,7 @@ type Deployment struct {
 	Cells []Cell
 
 	proj     *geo.Projection
+	xy       [][2]float64     // planar site position per cell, parallel to Cells
 	cellSize float64          // grid cell edge, metres
 	grid     map[[2]int][]int // grid coords -> indices into Cells
 }
@@ -82,18 +84,20 @@ func NewDeployment(cells []Cell, origin geo.Point, indexCellSize float64) *Deplo
 	d := &Deployment{
 		Cells:    cells,
 		proj:     geo.NewProjection(origin),
+		xy:       make([][2]float64, len(cells)),
 		cellSize: indexCellSize,
 		grid:     make(map[[2]int][]int),
 	}
 	for i, c := range cells {
-		k := d.key(c.Site)
+		x, y := d.proj.ToXY(c.Site)
+		d.xy[i] = [2]float64{x, y}
+		k := d.key(x, y)
 		d.grid[k] = append(d.grid[k], i)
 	}
 	return d
 }
 
-func (d *Deployment) key(p geo.Point) [2]int {
-	x, y := d.proj.ToXY(p)
+func (d *Deployment) key(x, y float64) [2]int {
 	return [2]int{int(math.Floor(x / d.cellSize)), int(math.Floor(y / d.cellSize))}
 }
 
@@ -109,25 +113,28 @@ type VisibleCell struct {
 func (d *Deployment) Visible(loc geo.Point, ds float64) []VisibleCell {
 	x, y := d.proj.ToXY(loc)
 	r := int(math.Ceil(ds/d.cellSize)) + 1
-	k0 := d.key(loc)
+	k0 := d.key(x, y)
 	var out []VisibleCell
 	for dx := -r; dx <= r; dx++ {
 		for dy := -r; dy <= r; dy++ {
 			for _, idx := range d.grid[[2]int{k0[0] + dx, k0[1] + dy}] {
-				c := &d.Cells[idx]
-				cx, cy := d.proj.ToXY(c.Site)
-				dist := math.Hypot(cx-x, cy-y)
+				dist := math.Hypot(d.xy[idx][0]-x, d.xy[idx][1]-y)
 				if dist <= ds {
-					out = append(out, VisibleCell{Cell: c, Distance: dist})
+					out = append(out, VisibleCell{Cell: &d.Cells[idx], Distance: dist})
 				}
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Distance != out[j].Distance {
-			return out[i].Distance < out[j].Distance
+	// (distance, cell ID) is a total order over distinct cells, so the result
+	// does not depend on the sort algorithm.
+	slices.SortFunc(out, func(a, b VisibleCell) int {
+		switch { // distances are never NaN: a NaN fails dist <= ds above
+		case a.Distance < b.Distance:
+			return -1
+		case a.Distance > b.Distance:
+			return 1
 		}
-		return out[i].Cell.ID < out[j].Cell.ID
+		return cmp.Compare(a.Cell.ID, b.Cell.ID)
 	})
 	return out
 }

@@ -3,6 +3,7 @@ package cells
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -83,6 +84,59 @@ func TestVisibleMatchesBruteForce(t *testing.T) {
 		if got := len(d.Visible(loc, ds)); got != want {
 			t.Errorf("Visible(%v, %v) = %d cells, brute force = %d", loc, ds, got, want)
 		}
+	}
+}
+
+// visibleReference is Visible as it was before the index kept planar site
+// positions and before slices.SortFunc: every cell projected per call, no
+// grid, sort.Slice with the (distance, cell ID) order.
+func visibleReference(d *Deployment, loc geo.Point, ds float64) []VisibleCell {
+	x, y := d.proj.ToXY(loc)
+	var out []VisibleCell
+	for i := range d.Cells {
+		cx, cy := d.proj.ToXY(d.Cells[i].Site)
+		if dist := math.Hypot(cx-x, cy-y); dist <= ds {
+			out = append(out, VisibleCell{Cell: &d.Cells[i], Distance: dist})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Distance != out[j].Distance {
+			return out[i].Distance < out[j].Distance
+		}
+		return out[i].Cell.ID < out[j].Cell.ID
+	})
+	return out
+}
+
+// TestVisibleMatchesReference: same cells, same distance bits, same order as
+// the reference at random points. Three sectors share every site, so every
+// result is full of equal distances that only the cell ID orders.
+func TestVisibleMatchesReference(t *testing.T) {
+	d := testDeployment(t, 4)
+	rng := rand.New(rand.NewSource(11))
+	ties := 0
+	for trial := 0; trial < 200; trial++ {
+		loc := d.proj.FromXY((rng.Float64()-0.5)*9000, (rng.Float64()-0.5)*9000)
+		if trial%10 == 0 {
+			loc = d.Cells[rng.Intn(len(d.Cells))].Site // distance 0, three ways
+		}
+		ds := 300 + rng.Float64()*3500
+		got, want := d.Visible(loc, ds), visibleReference(d, loc, ds)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d cells, reference has %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Cell != want[i].Cell || math.Float64bits(got[i].Distance) != math.Float64bits(want[i].Distance) {
+				t.Fatalf("trial %d position %d: cell %d at %v, reference cell %d at %v",
+					trial, i, got[i].Cell.ID, got[i].Distance, want[i].Cell.ID, want[i].Distance)
+			}
+			if i > 0 && want[i].Distance == want[i-1].Distance {
+				ties++
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no equal distances seen: the tie-break was not exercised")
 	}
 }
 

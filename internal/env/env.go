@@ -327,11 +327,16 @@ func (m *Map) ContextAt(p geo.Point, radius float64) []float64 {
 	// PoI counts via the spatial hash.
 	r := int(math.Ceil(radius/m.poiCellM)) + 1
 	k0 := [2]int{int(math.Floor(x0 / m.poiCellM)), int(math.Floor(y0 / m.poiCellM))}
+	// Most points in the scanned buckets lie outside the circle. The squared
+	// test rejects only what is outside by more than any rounding could
+	// hide, so math.Hypot still decides every point near the edge.
+	far2 := radius * radius * (1 + 1e-9)
 	for dx := -r; dx <= r; dx++ {
 		for dy := -r; dy <= r; dy++ {
 			for _, ref := range m.poiGrid[[2]int{k0[0] + dx, k0[1] + dy}] {
 				pt := m.pois[ref.kind][ref.idx]
-				if math.Hypot(pt.x-x0, pt.y-y0) <= radius {
+				px, py := pt.x-x0, pt.y-y0
+				if px*px+py*py <= far2 && math.Hypot(px, py) <= radius {
 					out[NumLandUse+ref.kind]++
 				}
 			}

@@ -2,6 +2,7 @@ package env
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"gendt/internal/geo"
@@ -156,5 +157,42 @@ func TestMultiCoreMap(t *testing.T) {
 	}
 	if mid >= u1 || mid >= u2 {
 		t.Errorf("midpoint between cities (%v) should be less urban than cores (%v, %v)", mid, u1, u2)
+	}
+}
+
+// TestPoICountsMatchBruteForce: the squared-distance rejection in ContextAt
+// must never change a count. The reference tests every point with math.Hypot
+// alone, at random locations and at points pushed onto the circle's edge.
+func TestPoICountsMatchBruteForce(t *testing.T) {
+	m := newTestMap()
+	rng := rand.New(rand.NewSource(5))
+	const radius = 500
+	check := func(x0, y0 float64) {
+		t.Helper()
+		got := m.ContextAt(m.proj.FromXY(x0, y0), radius)
+		x0, y0 = m.proj.ToXY(m.proj.FromXY(x0, y0))
+		for kind, pts := range m.pois {
+			want := 0.0
+			for _, pt := range pts {
+				if math.Hypot(pt.x-x0, pt.y-y0) <= radius {
+					want++
+				}
+			}
+			if got[NumLandUse+kind] != want {
+				t.Fatalf("at (%v, %v): %s count %v, brute force %v", x0, y0, AttributeNames[NumLandUse+kind], got[NumLandUse+kind], want)
+			}
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		check((rng.Float64()-0.5)*10000, (rng.Float64()-0.5)*10000)
+	}
+	for trial := 0; trial < 200; trial++ {
+		pts := m.pois[rng.Intn(NumPoI)]
+		if len(pts) == 0 {
+			continue
+		}
+		pt := pts[rng.Intn(len(pts))]
+		a := rng.Float64() * 2 * math.Pi
+		check(pt.x+radius*math.Cos(a), pt.y+radius*math.Sin(a))
 	}
 }

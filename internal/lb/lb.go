@@ -271,7 +271,7 @@ func (lb *LB) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	lb.requests.Add(1)
 	start := time.Now()
 	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-	lb.routeGenerate(sw, r)
+	lb.routeGenerate(sw, r, start)
 	lb.latency.Observe(time.Since(start))
 	if sw.code >= 400 {
 		lb.errors.Add(1)
@@ -280,8 +280,8 @@ func (lb *LB) handleGenerate(w http.ResponseWriter, r *http.Request) {
 
 // routeGenerate buffers the body, hashes (model, route) onto the ring, and
 // walks the successor sequence until an attempt produces a relayable
-// response.
-func (lb *LB) routeGenerate(w http.ResponseWriter, r *http.Request) {
+// response. start is when the request reached the balancer.
+func (lb *LB) routeGenerate(w http.ResponseWriter, r *http.Request, start time.Time) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, lb.opt.MaxBody))
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -321,7 +321,7 @@ func (lb *LB) routeGenerate(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		attempts++
-		done, reason := lb.forward(r.Context(), w, rep, body)
+		done, reason := lb.forward(r.Context(), w, rep, body, start)
 		rep.inFlight.Add(-1)
 		if done {
 			return
@@ -358,8 +358,9 @@ func (lb *LB) routeGenerate(w http.ResponseWriter, r *http.Request) {
 // forward sends one attempt to rep. It returns done=true when a response
 // was relayed to the client (any status except a retriable 503); otherwise
 // the caller should walk to the next candidate, with reason describing this
-// attempt's failure for the terminal error message.
-func (lb *LB) forward(ctx context.Context, w http.ResponseWriter, rep *replica, body []byte) (done bool, reason string) {
+// attempt's failure for the terminal error message. arrived is when the
+// request reached the balancer.
+func (lb *LB) forward(ctx context.Context, w http.ResponseWriter, rep *replica, body []byte, arrived time.Time) (done bool, reason string) {
 	rep.requests.Add(1)
 	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
@@ -385,7 +386,8 @@ func (lb *LB) forward(ctx context.Context, w http.ResponseWriter, rep *replica, 
 		return false, err.Error()
 	}
 	defer resp.Body.Close()
-	rep.latency.Observe(time.Since(start))
+	upstream := time.Since(start)
+	rep.latency.Observe(upstream)
 
 	if resp.StatusCode == http.StatusServiceUnavailable {
 		// Draining or overloaded replica: honor its Retry-After as a
@@ -404,16 +406,26 @@ func (lb *LB) forward(ctx context.Context, w http.ResponseWriter, rep *replica, 
 	if resp.StatusCode >= 500 {
 		rep.errors.Add(1)
 	}
-	relay(w, resp)
+	relay(w, resp, time.Since(arrived)-upstream)
 	return true, ""
 }
 
-// relay copies an upstream response through to the client.
-func relay(w http.ResponseWriter, resp *http.Response) {
+// relay copies an upstream response through to the client, its length
+// included so the hop does not re-chunk the body. A replica's stage timings
+// gain an lb entry: self is the time the request has spent in the balancer
+// outside the relayed attempt (routing, and any attempts that failed).
+func relay(w http.ResponseWriter, resp *http.Response, self time.Duration) {
 	for _, h := range []string{"Content-Type", "Retry-After", serve.ReasonHeader} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
+	}
+	if resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	}
+	if v := resp.Header.Get(serve.TimingHeader); v != "" {
+		ms := strconv.FormatFloat(float64(self)/float64(time.Millisecond), 'f', 3, 64)
+		w.Header().Set(serve.TimingHeader, v+", lb;dur="+ms)
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
@@ -457,7 +469,7 @@ func (lb *LB) handleModels(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
-		relay(w, resp)
+		relay(w, resp, 0) // the listing carries no stage timings
 		resp.Body.Close()
 		return
 	}

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,6 +26,7 @@ type fakeReplica struct {
 	healthy   atomic.Bool
 	draining  atomic.Bool // /v1/generate answers 503 draining
 	blockOn   atomic.Bool // /v1/generate waits for close(block)
+	bigBody   atomic.Bool // /v1/generate answers with stage timings and a body past the server's write buffer
 	block     chan struct{}
 	generates atomic.Int64
 }
@@ -56,6 +59,13 @@ func newFakeReplica(t *testing.T, id string) *fakeReplica {
 		}
 		f.generates.Add(1)
 		w.Header().Set("Content-Type", "application/json")
+		if f.bigBody.Load() {
+			body := fmt.Sprintf(`{"backend":%q,"pad":%q}`, f.id, strings.Repeat("x", 16<<10))
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			w.Header().Set(serve.TimingHeader, "queue;dur=0.010, engine;dur=1.500")
+			io.WriteString(w, body)
+			return
+		}
 		fmt.Fprintf(w, `{"backend":%q}`, f.id)
 	})
 	mux.HandleFunc(serve.EndpointModels, func(w http.ResponseWriter, r *http.Request) {
@@ -148,6 +158,34 @@ func TestRoutingIsConsistentAndSpreads(t *testing.T) {
 	}
 	if len(hit) < 2 {
 		t.Fatalf("48 distinct routes all landed on one backend: %v", hit)
+	}
+}
+
+// TestRelayKeepsLengthAndTimings: the hop forwards a replica's
+// Content-Length, so a large body is not re-chunked, and its stage timings
+// with the balancer's own share appended.
+func TestRelayKeepsLengthAndTimings(t *testing.T) {
+	a := newFakeReplica(t, "a")
+	a.bigBody.Store(true)
+	balancer := newLB(t, Options{}, a)
+	lbSrv := httptest.NewServer(balancer.Handler())
+	defer lbSrv.Close()
+
+	resp, body := post(t, lbSrv, routeBody(1))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %d, Transfer-Encoding %v for a %d-byte body: the hop re-chunked it",
+			resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+	timing := resp.Header.Get(serve.TimingHeader)
+	upstream, own, ok := strings.Cut(timing, ", lb;dur=")
+	if !ok || upstream != "queue;dur=0.010, engine;dur=1.500" {
+		t.Fatalf("%s = %q, want the replica's entries then lb;dur=", serve.TimingHeader, timing)
+	}
+	if ms, err := strconv.ParseFloat(own, 64); err != nil || ms < 0 || ms > 1000 {
+		t.Fatalf("lb;dur=%q is not a plausible self time (%v)", own, err)
 	}
 }
 

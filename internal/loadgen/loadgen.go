@@ -19,6 +19,16 @@ import (
 const (
 	ArrivalPoisson = "poisson" // exponential inter-arrival gaps (memoryless)
 	ArrivalFixed   = "fixed"   // constant 1/RPS gaps
+	// ArrivalBursty sends bursts of burstMin–burstMax requests inside
+	// burstSpan, then silence. The gaps are drawn so the mean rate is RPS; at
+	// 255 req/s they are 5–50 ms. The shape is a stand-in for replayed
+	// what-if traffic, not fitted to a measured trace.
+	ArrivalBursty = "bursty"
+)
+
+const (
+	burstMin, burstMax = 2, 12
+	burstSpan          = 200 * time.Microsecond
 )
 
 // RunConfig parameterizes one open-loop replay window.
@@ -70,7 +80,7 @@ type outcome struct {
 // each fired on its own goroutine. It returns the measured report.
 func Run(cfg RunConfig, trace *Trace) (Report, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Arrival != ArrivalPoisson && cfg.Arrival != ArrivalFixed {
+	if cfg.Arrival != ArrivalPoisson && cfg.Arrival != ArrivalFixed && cfg.Arrival != ArrivalBursty {
 		return Report{}, fmt.Errorf("loadgen: unknown arrival process %q", cfg.Arrival)
 	}
 	client := newClient(cfg.Timeout)
@@ -79,11 +89,22 @@ func Run(cfg RunConfig, trace *Trace) (Report, error) {
 	// Arrival gaps draw from their own deterministic stream so the offered
 	// schedule is reproducible for a fixed trace seed.
 	arrivalRNG := rand.New(rand.NewSource(trace.spec.RNGSeed ^ 0x5bf0_3635))
+	var burstLeft int           // requests still to come in the current burst
+	var burstStep time.Duration // and the gap between them
 	nextGap := func() time.Duration {
-		if cfg.Arrival == ArrivalFixed {
+		switch {
+		case cfg.Arrival == ArrivalFixed:
 			return time.Duration(float64(time.Second) / cfg.RPS)
+		case cfg.Arrival == ArrivalPoisson:
+			return time.Duration(arrivalRNG.ExpFloat64() / cfg.RPS * float64(time.Second))
+		case burstLeft > 0:
+			burstLeft--
+			return burstStep
 		}
-		return time.Duration(arrivalRNG.ExpFloat64() / cfg.RPS * float64(time.Second))
+		burstLeft = burstMin + arrivalRNG.Intn(burstMax-burstMin+1) - 1
+		burstStep = burstSpan / time.Duration(burstLeft)
+		period := float64(burstMin+burstMax) / 2 / cfg.RPS * float64(time.Second)
+		return time.Duration((0.18 + 1.64*arrivalRNG.Float64()) * period)
 	}
 
 	// Snapshot the target's cumulative batch-size histogram around the

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gendt/internal/core"
 	"gendt/internal/dataset"
 	"gendt/internal/serve"
 )
@@ -273,7 +274,74 @@ func TestVerifyBitIdentity(t *testing.T) {
 }
 
 func TestRunRejectsUnknownArrival(t *testing.T) {
-	if _, err := Run(RunConfig{Target: "http://127.0.0.1:0", Arrival: "bursty"}, syntheticTrace(1)); err == nil {
+	if _, err := Run(RunConfig{Target: "http://127.0.0.1:0", Arrival: "uniform"}, syntheticTrace(1)); err == nil {
 		t.Fatal("unknown arrival process accepted")
+	}
+}
+
+// engineStub is a core.Generator that takes a fixed time per GenerateJobs
+// call, whatever the batch: the shape of an engine whose lanes are free.
+type engineStub struct {
+	core.Generator // the methods serving never calls stay nil
+	engine         time.Duration
+	series         [][]float64
+}
+
+func (g engineStub) ModelConfig() core.Config {
+	return core.Config{Channels: core.RSRPRSRQChannels(), MaxCells: 6}
+}
+
+func (g engineStub) GenerateJobs(jobs []core.GenJob) [][][]float64 {
+	time.Sleep(g.engine)
+	outs := make([][][]float64, len(jobs))
+	for i := range outs {
+		outs[i] = g.series
+	}
+	return outs
+}
+
+// TestBurstyReplayCoalescesWithoutHolding replays a bursty trace against a
+// real replica whose engine takes 30 ms a call, so nearly every request lands
+// while a batch is in flight. Such requests must leave together (mean batch
+// above one request), and each waits for the one batch ahead of it and no
+// more: the stage histogram's 50 ms bucket is the first edge above one engine
+// call, which also absorbs a slow sleep on a busy machine. A request that sat
+// out a second batch would show at 60 ms or later.
+func TestBurstyReplayCoalescesWithoutHolding(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a dataset world")
+	}
+	const engine, edgeMs = 30 * time.Millisecond, 50
+	d := dataset.NewDatasetA(dataset.Spec{Scale: 0.015, Seed: 11})
+	s := serve.New(serve.Options{
+		Registry: serve.NewStaticRegistry("stub", engineStub{engine: engine, series: [][]float64{{1, 2}, {3, 4}}}),
+		World:    serve.NewWorldFrom(d),
+	})
+	srv := httptest.NewServer(s.Handler())
+	defer func() {
+		srv.Close()
+		s.Close()
+	}()
+	trace, err := BuildTrace(d, TraceSpec{Routes: 4, Steps: 20, RNGSeed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(RunConfig{Target: srv.URL, RPS: 255, Duration: time.Second, Arrival: ArrivalBursty}, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 0 || rep.Sent < 100 {
+		t.Fatalf("sent %d, %d errors: %+v", rep.Sent, rep.Errors, rep.Status)
+	}
+	if rep.BatchSizeHist == nil || rep.BatchSizeHist.Mean <= 1 {
+		t.Fatalf("bursts did not coalesce: batch sizes %+v", rep.BatchSizeHist)
+	}
+	queue := s.Metrics().Stages[serve.StageQueue].Snapshot()
+	if queue.Count != int64(rep.Sent) {
+		t.Fatalf("%d queue observations for %d requests", queue.Count, rep.Sent)
+	}
+	t.Logf("batch sizes %+v, queue %+v", rep.BatchSizeHist, queue)
+	if worst := queue.Quantile(1); worst > edgeMs {
+		t.Fatalf("a request queued into the %v ms bucket; one %v engine call bounds it: %+v", worst, engine, queue.Buckets)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"time"
 
@@ -13,26 +14,33 @@ import (
 // down.
 var ErrDraining = errors.New("serve: server draining")
 
+// batchRun is what a request gets back from its batch: one series set per
+// job, and when the batch entered and left the engine.
+type batchRun struct {
+	outs       [][][]float64
+	start, end time.Time
+}
+
 // batchItem is one admitted request: its generation jobs (one per sample)
 // and the channel its results come back on. done is buffered so the run
 // loop never blocks on a caller that gave up (context timeout).
 type batchItem struct {
 	jobs []core.GenJob
-	done chan [][][]float64
+	done chan batchRun
 }
 
-// Batcher is the micro-batching admission layer for one model. Concurrent
-// /v1/generate requests that land within the batching window are coalesced
-// into a single GenerateJobs call, amortizing the clone/fan-out cost of
-// the parallel generation engine across requests. Because every job is
-// generated from a clone seeded with the job's own seed, coalescing never
-// changes results: a request's output is bit-identical whether it ran
-// alone or shared a batch (see core.GenerateJobs).
+// Batcher is the micro-batching admission layer for one model. It never
+// holds a request back for company: a request that reaches an idle batcher
+// is dispatched at once, and requests that arrive while a batch executes
+// queue up and leave together as the next batch, so coalescing grows with
+// load and costs an idle server nothing. Because every job is generated from
+// a clone seeded with the job's own seed, coalescing never changes results:
+// a request's output is bit-identical whether it ran alone or shared a batch
+// (see core.GenerateJobs).
 type Batcher struct {
-	model  func() core.Generator // resolved per batch so hot reload takes effect
-	window time.Duration
-	max    int // max coalesced jobs per GenerateJobs call
-	met    *Metrics
+	model func() core.Generator // resolved per batch so hot reload takes effect
+	max   int                   // max coalesced jobs per GenerateJobs call
+	met   *Metrics
 
 	ch chan *batchItem
 	wg sync.WaitGroup
@@ -52,20 +60,16 @@ type Batcher struct {
 // DefaultMaxBatch bounds the jobs coalesced into one GenerateJobs call.
 const DefaultMaxBatch = 64
 
-// NewBatcher starts the admission loop. window <= 0 disables waiting: a
-// batch still absorbs whatever is already queued, but never delays the
-// first request (the correct setting for latency-sensitive single-client
-// use).
-func NewBatcher(model func() core.Generator, window time.Duration, maxBatch int, met *Metrics) *Batcher {
+// NewBatcher starts the admission loop.
+func NewBatcher(model func() core.Generator, maxBatch int, met *Metrics) *Batcher {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
 	b := &Batcher{
-		model:  model,
-		window: window,
-		max:    maxBatch,
-		met:    met,
-		ch:     make(chan *batchItem, 4*maxBatch),
+		model: model,
+		max:   maxBatch,
+		met:   met,
+		ch:    make(chan *batchItem, 4*maxBatch),
 	}
 	b.wg.Add(1)
 	go b.run()
@@ -75,25 +79,25 @@ func NewBatcher(model func() core.Generator, window time.Duration, maxBatch int,
 // Generate admits one request of len(jobs) samples and blocks until the
 // batch executes or ctx expires. On ctx expiry the work may still execute
 // (a batch in flight cannot be cancelled) but the result is discarded.
-func (b *Batcher) Generate(ctx context.Context, jobs []core.GenJob) ([][][]float64, error) {
-	item := &batchItem{jobs: jobs, done: make(chan [][][]float64, 1)}
+func (b *Batcher) Generate(ctx context.Context, jobs []core.GenJob) (batchRun, error) {
+	item := &batchItem{jobs: jobs, done: make(chan batchRun, 1)}
 	b.drain.RLock()
 	if b.closed {
 		b.drain.RUnlock()
-		return nil, ErrDraining
+		return batchRun{}, ErrDraining
 	}
 	select {
 	case b.ch <- item:
 		b.drain.RUnlock()
 	case <-ctx.Done():
 		b.drain.RUnlock()
-		return nil, ctx.Err()
+		return batchRun{}, ctx.Err()
 	}
 	select {
-	case out := <-item.done:
-		return out, nil
+	case run := <-item.done:
+		return run, nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return batchRun{}, ctx.Err()
 	}
 }
 
@@ -121,30 +125,19 @@ func (b *Batcher) run() {
 	}
 }
 
-// collect gathers the current batch: the triggering item plus whatever
-// else arrives within the window, up to the job cap.
+// collect gathers the current batch: the triggering item plus everything
+// already queued, up to the job cap. It does not wait.
 func (b *Batcher) collect(first *batchItem) []*batchItem {
 	batch := append(b.batchBuf[:0], first)
 	defer func() { b.batchBuf = batch }()
 	jobs := len(first.jobs)
-	if b.window <= 0 {
-		for jobs < b.max {
-			select {
-			case it, ok := <-b.ch:
-				if !ok {
-					return batch
-				}
-				batch = append(batch, it)
-				jobs += len(it.jobs)
-			default:
-				return batch
-			}
-		}
-		return batch
-	}
-	timer := time.NewTimer(b.window)
-	defer timer.Stop()
 	for jobs < b.max {
+		if len(b.ch) == 0 {
+			// The handler that woke this goroutine handed it its processor,
+			// ahead of every other handler that is ready to run. Let those
+			// reach the queue before calling it empty.
+			runtime.Gosched()
+		}
 		select {
 		case it, ok := <-b.ch:
 			if !ok {
@@ -152,7 +145,7 @@ func (b *Batcher) collect(first *batchItem) []*batchItem {
 			}
 			batch = append(batch, it)
 			jobs += len(it.jobs)
-		case <-timer.C:
+		default:
 			return batch
 		}
 	}
@@ -167,12 +160,13 @@ func (b *Batcher) execute(batch []*batchItem) {
 	b.jobsBuf = jobs
 	start := time.Now()
 	outs := b.model().GenerateJobs(jobs)
+	end := time.Now()
 	if b.met != nil {
-		b.met.ObserveBatch(len(batch), len(jobs), time.Since(start))
+		b.met.ObserveBatch(len(batch), len(jobs), end.Sub(start))
 	}
 	off := 0
 	for i, it := range batch {
-		it.done <- outs[off : off+len(it.jobs)]
+		it.done <- batchRun{outs: outs[off : off+len(it.jobs)], start: start, end: end}
 		off += len(it.jobs)
 		batch[i] = nil // don't retain delivered items across batches
 	}

@@ -10,10 +10,14 @@ import (
 )
 
 // stubGen is a trivial core.Generator whose GenerateJobs returns a shared
-// preallocated result per job: batcher benchmarks measure the admission
-// layer's own overhead, not model time.
+// preallocated result per job: batcher tests and benchmarks exercise the
+// admission layer, not a model. With enter set, every call first reports
+// its job count there; with gate set, it then blocks until the gate yields.
 type stubGen struct {
-	out [][]float64
+	out   [][]float64
+	cfg   core.Config
+	enter chan int
+	gate  chan struct{}
 }
 
 func newStubGen() *stubGen {
@@ -26,6 +30,12 @@ func newStubGen() *stubGen {
 
 func (g *stubGen) GenerateSeeded(seq *core.Sequence, seed int64) [][]float64 { return nil }
 func (g *stubGen) GenerateJobs(jobs []core.GenJob) [][][]float64 {
+	if g.enter != nil {
+		g.enter <- len(jobs)
+	}
+	if g.gate != nil {
+		<-g.gate
+	}
 	outs := make([][][]float64, len(jobs))
 	for i := range outs {
 		outs[i] = g.out
@@ -33,7 +43,7 @@ func (g *stubGen) GenerateJobs(jobs []core.GenJob) [][][]float64 {
 	return outs
 }
 func (g *stubGen) DenormalizeSeries(norm [][]float64) [][]float64 { return norm }
-func (g *stubGen) ModelConfig() core.Config                       { return core.Config{} }
+func (g *stubGen) ModelConfig() core.Config                       { return g.cfg }
 func (g *stubGen) ParamCount() int                                { return 0 }
 func (g *stubGen) Precision() core.Precision                      { return core.PrecisionF32 }
 func (g *stubGen) Fingerprint() uint64                            { return 0 }
@@ -46,22 +56,22 @@ func (g *stubGen) WithWorkers(n int) core.Generator               { return g }
 // per-batch result slice), with no per-batch batch/jobs slice growth.
 func BenchmarkBatcherGenerate(b *testing.B) {
 	gen := newStubGen()
-	bt := NewBatcher(func() core.Generator { return gen }, 0, DefaultMaxBatch, nil)
+	bt := NewBatcher(func() core.Generator { return gen }, DefaultMaxBatch, nil)
 	defer bt.Close()
 	jobs := []core.GenJob{{Seed: 1}}
 	ctx := context.Background()
-	// Warm the pooled buffers before measuring.
-	if _, err := bt.Generate(ctx, jobs); err != nil {
-		b.Fatal(err)
+	generate := func() {
+		if _, err := bt.Generate(ctx, jobs); err != nil {
+			b.Fatal(err)
+		}
 	}
+	generate() // warm the pooled buffers before measuring
 	b.ReportAllocs()
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bt.Generate(ctx, jobs); err != nil {
-			b.Fatal(err)
-		}
+		generate()
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&ms1)
@@ -90,5 +100,46 @@ func TestSizeHistogram(t *testing.T) {
 	want := map[string]int64{"1": 2, "2": 1, "4": 1, "8": 1, "16": 1, "64": 1, "+Inf": 1}
 	if !reflect.DeepEqual(s.Buckets, want) {
 		t.Fatalf("buckets = %v, want %v", s.Buckets, want)
+	}
+}
+
+// TestQueuedArrivalsLeaveTogether: requests admitted while a batch is in the
+// engine wait for it and then leave as one GenerateJobs call.
+func TestQueuedArrivalsLeaveTogether(t *testing.T) {
+	gen := newStubGen()
+	gen.enter, gen.gate = make(chan int), make(chan struct{})
+	bt := NewBatcher(func() core.Generator { return gen }, DefaultMaxBatch, nil)
+	defer bt.Close()
+	runs := make(chan batchRun)
+	generate := func() {
+		run, err := bt.Generate(context.Background(), []core.GenJob{{Seed: 1}})
+		if err != nil {
+			t.Error(err)
+		}
+		runs <- run
+	}
+
+	go generate()
+	if n := <-gen.enter; n != 1 {
+		t.Fatalf("first call carries %d jobs, want the lone request", n)
+	}
+	// The first batch is now held inside the engine.
+	const queued = 9
+	for i := 0; i < queued; i++ {
+		go generate()
+	}
+	for len(bt.ch) < queued {
+		runtime.Gosched()
+	}
+	gen.gate <- struct{}{}
+	first := <-runs
+	if n := <-gen.enter; n != queued {
+		t.Fatalf("second call carries %d jobs, want all %d queued requests in one", n, queued)
+	}
+	gen.gate <- struct{}{}
+	for i := 0; i < queued; i++ {
+		if run := <-runs; !run.start.After(first.end) || len(run.outs) != 1 {
+			t.Fatalf("queued request got %d series sets from a batch started %v, want 1 after %v", len(run.outs), run.start, first.end)
+		}
 	}
 }

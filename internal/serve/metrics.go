@@ -171,6 +171,47 @@ func (s SizeHistogramSnap) BucketString() string {
 	return strings.Join(parts, " ")
 }
 
+// The stages of a /v1/generate request, in the order they run. They tile the
+// handler from entry to the encoded body: decode ends when the route is
+// parsed, prepare when the sequence is ready, queue when the request's batch
+// goes to the engine (≈ 0 on an idle replica), engine when GenerateJobs
+// returns, encode when the response body is built.
+const (
+	StageDecode = iota
+	StagePrepare
+	StageQueue
+	StageEngine
+	StageEncode
+	numStages
+)
+
+var stageNames = [numStages]string{"decode", "prepare", "queue", "engine", "encode"}
+
+// TimingHeader carries a 200's stage durations back to the client; gendt-lb
+// forwards it and appends its own hop.
+const TimingHeader = "Server-Timing"
+
+// serverTiming renders the stage durations between consecutive marks as a
+// Server-Timing value in milliseconds, e.g.
+// "decode;dur=0.031, prepare;desc=miss;dur=1.402, queue;dur=0.012, ...".
+func serverTiming(at *[numStages + 1]time.Time, cached bool) string {
+	b := make([]byte, 0, 128)
+	for i, name := range stageNames {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, name...)
+		if i == StagePrepare && cached {
+			b = append(b, ";desc=hit"...)
+		} else if i == StagePrepare {
+			b = append(b, ";desc=miss"...)
+		}
+		b = append(b, ";dur="...)
+		b = strconv.AppendFloat(b, float64(at[i+1].Sub(at[i]))/float64(time.Millisecond), 'f', 3, 64)
+	}
+	return string(b)
+}
+
 // endpointStats tracks one endpoint's request count, error count, in-flight
 // gauge, and latency histogram.
 type endpointStats struct {
@@ -203,6 +244,8 @@ type Metrics struct {
 	BatchSize       SizeHistogram // realized batch sizes (requests per batch)
 	PrepHits        atomic.Int64  // prepared-sequence cache hits
 	PrepMisses      atomic.Int64  // prepared-sequence cache misses
+
+	Stages [numStages]Histogram // per-stage durations of answered /v1/generate requests
 }
 
 // NewMetrics creates the metrics state for the given endpoint names.
@@ -237,8 +280,9 @@ func (m *Metrics) ObserveBatch(n, samples int, d time.Duration) {
 
 // varsSnap is the /debug/vars JSON document.
 type varsSnap struct {
-	UptimeS   float64                 `json:"uptime_s"`
-	Endpoints map[string]endpointSnap `json:"endpoints"`
+	UptimeS   float64                  `json:"uptime_s"`
+	Endpoints map[string]endpointSnap  `json:"endpoints"`
+	Stages    map[string]HistogramSnap `json:"stages"`
 
 	Generate struct {
 		Samples         int64             `json:"samples"`
@@ -273,6 +317,10 @@ func (m *Metrics) Snapshot() varsSnap {
 			InFlight: e.InFlight.Load(),
 			Latency:  e.Latency.Snapshot(),
 		}
+	}
+	s.Stages = make(map[string]HistogramSnap, numStages)
+	for i, name := range stageNames {
+		s.Stages[name] = m.Stages[i].Snapshot()
 	}
 	s.Generate.Samples = m.GenerateSamples.Load()
 	if s.Generate.Samples > 0 {

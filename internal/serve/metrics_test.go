@@ -27,6 +27,26 @@ func TestHistogramSnapshotJSON(t *testing.T) {
 	if want := `{"count":0,"mean":0,"buckets_le":{}}`; string(raw) != want {
 		t.Fatalf("empty size snapshot JSON = %s, want %s", raw, want)
 	}
+
+	// The per-stage histograms sit under "stages", one per stage name, in
+	// the same shape as an endpoint's latency.
+	m := NewMetrics()
+	m.Stages[StageQueue].Observe(3 * time.Millisecond)
+	raw, err = json.Marshal(m.Snapshot().Stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := `{"count":0,"mean_ms":0,"buckets_le_ms":{}}`
+	want = `{"decode":` + empty + `,"encode":` + empty + `,"engine":` + empty + `,"prepare":` + empty +
+		`,"queue":{"count":1,"mean_ms":3,"buckets_le_ms":{"5":1}}}`
+	if string(raw) != want {
+		t.Fatalf("stages JSON = %s, want %s", raw, want)
+	}
+	var vars map[string]json.RawMessage
+	raw, _ = json.Marshal(m.Snapshot())
+	if err := json.Unmarshal(raw, &vars); err != nil || vars["stages"] == nil {
+		t.Fatalf("/debug/vars document has no \"stages\" key: %s (%v)", raw, err)
+	}
 }
 
 func TestHistogramSnapQuantile(t *testing.T) {

@@ -31,9 +31,10 @@ type Options struct {
 	Registry *Registry
 	World    *World
 
-	// BatchWindow is how long the admission layer waits to coalesce
-	// concurrent requests into one batch; 0 batches only what is already
-	// queued (no added latency).
+	// BatchWindow is ignored. It was a fixed delay every request paid so
+	// that others might join its batch; the admission layer now never
+	// delays a request (see Batcher). The field stays so that callers that
+	// set it still compile.
 	BatchWindow time.Duration
 	// MaxBatch caps the generation jobs coalesced per batch.
 	MaxBatch int
@@ -186,7 +187,7 @@ func (s *Server) batcher(name string) *Batcher {
 	b := NewBatcher(func() core.Generator {
 		g, _ := reg.Get(name)
 		return g
-	}, s.opt.BatchWindow, s.opt.MaxBatch, s.met)
+	}, s.opt.MaxBatch, s.met)
 	s.batchers[name] = b
 	return b
 }
@@ -272,6 +273,8 @@ type GenerateResponse struct {
 }
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
+	var at [numStages + 1]time.Time // stage i ran from at[i] to at[i+1]
+	at[StageDecode] = time.Now()
 	if s.Draining() {
 		writeDraining(w, ErrDraining.Error())
 		return
@@ -294,6 +297,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	at[StagePrepare] = time.Now()
 	name, model, ok := s.opt.Registry.Resolve(req.Model)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown model %q (have %s)",
@@ -320,6 +324,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.met.PrepMisses.Add(1)
 	}
+	at[StageQueue] = time.Now()
 
 	jobs := make([]core.GenJob, samples)
 	for i := range jobs {
@@ -327,8 +332,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.opt.Timeout)
 	defer cancel()
-	start := time.Now()
-	outs, err := s.batcher(name).Generate(ctx, jobs)
+	run, err := s.batcher(name).Generate(ctx, jobs)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrDraining):
@@ -340,6 +344,8 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	outs := run.outs
+	at[StageEngine], at[StageEncode] = run.start, run.end
 
 	resp := GenerateResponse{
 		Model:      name,
@@ -349,7 +355,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		Steps:      seq.Len(),
 		Series:     outs[0],
 		PrepCached: cached,
-		GenMs:      float64(time.Since(start)) / float64(time.Millisecond),
+		GenMs:      float64(time.Since(at[StageQueue])) / float64(time.Millisecond),
 	}
 	for _, ch := range model.ModelConfig().Channels {
 		resp.Channels = append(resp.Channels, ch.Name)
@@ -358,7 +364,24 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		min, max, mean := core.Envelope(outs)
 		resp.Envelope = &EnvelopeJSON{Min: min, Max: max, Mean: mean}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	// The body is encoded before any header goes out, so a value JSON cannot
+	// carry is a 500, not a 200 cut short.
+	body, err := json.Marshal(&resp)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encode response: "+err.Error())
+		return
+	}
+	at[numStages] = time.Now()
+
+	for i := range s.met.Stages {
+		s.met.Stages[i].Observe(at[i+1].Sub(at[i]))
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h.Set(TimingHeader, serverTiming(&at, cached))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write is a client that went away
 }
 
 // trajectory converts the request's route into a geo.Trajectory.
