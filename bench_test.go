@@ -17,8 +17,6 @@ import (
 	"sync"
 	"testing"
 
-	"gendt/internal/core"
-	"gendt/internal/dataset"
 	"gendt/internal/experiments"
 )
 
@@ -91,7 +89,7 @@ func BenchmarkFig4CellDensity(b *testing.B) {
 func BenchmarkFig16ServingCellDistanceCDF(b *testing.B) {
 	opt := benchOpt()
 	for i := 0; i < b.N; i++ {
-		d := dataset.NewDatasetB(dataset.Spec{Seed: opt.Seed, Scale: opt.Scale})
+		d := opt.DatasetB()
 		cdfs := experiments.Figure16(d)
 		if len(cdfs) != 4 {
 			b.Fatalf("got %d cdfs", len(cdfs))
@@ -234,48 +232,12 @@ func BenchmarkFig18SampleSeries(b *testing.B) {
 
 // Component micro-benchmarks: the hot paths a user of the library pays for.
 
-func BenchmarkModelTrainEpoch(b *testing.B) {
-	opt := benchOpt()
-	d := dataset.NewDatasetA(dataset.Spec{Seed: opt.Seed, Scale: opt.Scale})
-	chans := RSRPRSRQChannels()
-	train := PrepareAll(d.TrainRuns(), chans, opt.MaxCells)
-	cfg := Config{
-		Channels: chans, Hidden: opt.Hidden,
-		BatchLen: opt.BatchLen, StepLen: opt.StepLen,
-		MaxCells: opt.MaxCells, Epochs: 1, Seed: 1,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := NewModel(cfg)
-		m.Train(train, nil)
-	}
-}
-
-func BenchmarkModelGenerate(b *testing.B) {
-	opt := benchOpt()
-	d := dataset.NewDatasetA(dataset.Spec{Seed: opt.Seed, Scale: opt.Scale})
-	chans := RSRPRSRQChannels()
-	train := PrepareAll(d.TrainRuns(), chans, opt.MaxCells)
-	m := NewModel(Config{
-		Channels: chans, Hidden: opt.Hidden,
-		BatchLen: opt.BatchLen, StepLen: opt.StepLen,
-		MaxCells: opt.MaxCells, Epochs: 1, Seed: 1,
-	})
-	m.Train(train, nil)
-	seq := PrepareSequence(d.TestRuns()[0], chans, opt.MaxCells)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := m.Generate(seq); len(out) != seq.Len() {
-			b.Fatal("bad generation")
-		}
-	}
-}
-
-// benchModelSetup prepares the quick-scale training set and config used by
-// the allocation/parallelism benchmarks (BENCH_train.json tracks these).
+// benchModelSetup prepares the quick-scale training set, a test sequence
+// and the config that BenchmarkModelUncertainty and TestGenerateAllocs
+// share.
 func benchModelSetup(workers int) ([]*Sequence, *Sequence, Config) {
 	opt := benchOpt()
-	d := dataset.NewDatasetA(dataset.Spec{Seed: opt.Seed, Scale: opt.Scale})
+	d := opt.DatasetA()
 	chans := RSRPRSRQChannels()
 	train := PrepareAll(d.TrainRuns(), chans, opt.MaxCells)
 	cfg := Config{
@@ -286,116 +248,6 @@ func benchModelSetup(workers int) ([]*Sequence, *Sequence, Config) {
 	}
 	test := PrepareSequence(d.TestRuns()[0], chans, opt.MaxCells)
 	return train, test, cfg
-}
-
-// BenchmarkTrain measures one training epoch with the serial loop
-// (workers=1) and the data-parallel engine at full width.
-func BenchmarkTrain(b *testing.B) {
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			train, _, cfg := benchModelSetup(workers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				m := NewModel(cfg)
-				b.StartTimer()
-				m.Train(train, nil)
-			}
-		})
-	}
-}
-
-// BenchmarkGenerate measures single-sequence generation on a trained
-// model across the three serving backends: the live float64 model (the
-// training-faithful path) and the frozen f32/int8 inference kernels
-// (BENCH_infer.json tracks the speedups). One model is trained and frozen
-// outside the timer so the sub-benchmarks compare pure generation cost.
-func BenchmarkGenerate(b *testing.B) {
-	train, test, cfg := benchModelSetup(1)
-	m := NewModel(cfg)
-	m.Train(train, nil)
-
-	run := func(b *testing.B, g ModelGenerator) {
-		// One untimed call first: whether a pooled engine survives from an
-		// earlier b.N round is scheduler luck, and at -benchtime 3x building
-		// one inside the loop triples allocs/op.
-		g.GenerateSeeded(test, int64(1))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if out := g.GenerateSeeded(test, int64(1)); len(out) != test.Len() {
-				b.Fatal("bad generation")
-			}
-		}
-	}
-	b.Run("f64", func(b *testing.B) {
-		// Generate (not GenerateSeeded) keeps the historical measurement:
-		// the serial hot path on the model's own RNG stream.
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if out := m.Generate(test); len(out) != test.Len() {
-				b.Fatal("bad generation")
-			}
-		}
-	})
-	for _, p := range []Precision{PrecisionF32, PrecisionInt8} {
-		im, err := m.Freeze(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(string(p), func(b *testing.B) { run(b, im) })
-	}
-}
-
-// BenchmarkGenerateBatch measures the frozen backends' GenerateJobs engine
-// at paper-scale weights (Hidden=100), where weight bandwidth dominates.
-// x1 is the engine at width 1; x4/x8 step that many sequences in lockstep
-// on one worker, so ns/op ratios read directly as aggregate-throughput
-// amortization (the seq/s metric reports it explicitly). For f32 every
-// layer-step issues one packed GEMM across the micro-batch instead of one
-// GEMV per sequence; int8's matmul stays per sequence and the width buys it
-// the plane-wide activations, the modulation sweep and the lockstep residual
-// head. BENCH_infer.json tracks the trajectory.
-func BenchmarkGenerateBatch(b *testing.B) {
-	opt := benchOpt()
-	d := dataset.NewDatasetA(dataset.Spec{Seed: opt.Seed, Scale: opt.Scale})
-	chans := RSRPRSRQChannels()
-	train := PrepareAll(d.TrainRuns(), chans, opt.MaxCells)
-	cfg := Config{
-		Channels: chans, Hidden: 100,
-		BatchLen: opt.BatchLen, StepLen: opt.StepLen,
-		MaxCells: opt.MaxCells, Epochs: 1, Seed: 1, Workers: 1,
-	}
-	m := NewModel(cfg)
-	m.Train(train, nil)
-	test := PrepareSequence(d.TestRuns()[0], chans, opt.MaxCells)
-
-	for _, p := range []Precision{PrecisionF32, PrecisionInt8} {
-		im, err := m.Freeze(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g := im.WithWorkers(1)
-		for _, n := range []int{1, 4, 8} {
-			jobs := make([]core.GenJob, n)
-			for i := range jobs {
-				jobs[i] = core.GenJob{Seq: test, Seed: core.DeriveSeed(1, i)}
-			}
-			b.Run(fmt.Sprintf("%sx%d", p, n), func(b *testing.B) {
-				g.GenerateJobs(jobs) // untimed: fill the engine pool (see BenchmarkGenerate)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if out := g.GenerateJobs(jobs); len(out) != n {
-						b.Fatal("bad generation")
-					}
-				}
-				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "seq/s")
-			})
-		}
-	}
 }
 
 // BenchmarkModelUncertainty measures the k-pass MC-dropout uncertainty,
@@ -418,7 +270,7 @@ func BenchmarkModelUncertainty(b *testing.B) {
 }
 
 func BenchmarkDriveTestSimulation(b *testing.B) {
-	d := dataset.NewDatasetA(dataset.Spec{Seed: 1, Scale: 0.02})
+	d := benchOpt().DatasetA()
 	tr := d.Runs[0].Traj
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -51,7 +51,7 @@ func main() {
 	arrival := flag.String("arrival", loadgen.ArrivalPoisson, "arrival process: poisson, fixed, or bursty (2-12 requests inside 200µs, then a gap)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	sweep := flag.String("sweep", "", "comma-separated RPS ladder (overrides -rps; locates the saturation knee)")
-	name := flag.String("name", "", "report name (the BENCH_serve.json entry key)")
+	name := flag.String("name", "", "report name (the JSON report's \"name\" field)")
 	out := flag.String("out", "", "write the JSON report here (empty = stdout)")
 	maxErrorRate := flag.Float64("max-error-rate", -1, "exit non-zero when the measured error rate exceeds this (-1 disables)")
 	verifyAgainst := flag.String("verify-against", "", "second endpoint: assert bit-identical per-seed responses vs -target, then exit")

@@ -179,8 +179,8 @@ func run(id string, opt experiments.Options, svgDir, scenName string) (string, e
 		}.SVG())
 		return experiments.RenderDensity(cases), nil
 	case "fig16":
-		a := dataset.NewDatasetA(dataset.Spec{Seed: opt.Seed, Scale: opt.Scale})
-		bd := dataset.NewDatasetB(dataset.Spec{Seed: opt.Seed, Scale: opt.Scale})
+		a := opt.DatasetA()
+		bd := opt.DatasetB()
 		cdfsA, cdfsB := experiments.Figure16(a), experiments.Figure16(bd)
 		for _, pair := range []struct {
 			name string

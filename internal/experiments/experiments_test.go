@@ -88,7 +88,7 @@ func TestFigure4DensityOrdering(t *testing.T) {
 }
 
 func TestFigure16CDFs(t *testing.T) {
-	d := dataset.NewDatasetB(dataset.Spec{Seed: quick.Seed, Scale: quick.Scale})
+	d := quick.DatasetB()
 	cdfs := Figure16(d)
 	if len(cdfs) != 4 {
 		t.Fatalf("got %d CDFs, want 4", len(cdfs))
@@ -118,7 +118,7 @@ func TestRenderHelpers(t *testing.T) {
 	if s := RenderDensity(Figure4(quick)); !strings.Contains(s, "Case 1") {
 		t.Error("RenderDensity missing case")
 	}
-	d := dataset.NewDatasetA(dataset.Spec{Seed: quick.Seed, Scale: quick.Scale})
+	d := quick.DatasetA()
 	if s := RenderCDFs("f16", Figure16(d)); !strings.Contains(s, "median") {
 		t.Error("RenderCDFs missing median")
 	}

@@ -32,7 +32,7 @@ type MDTRow struct {
 // The paper hypothesizes drive-test data is the most dependable per
 // sample; this experiment quantifies it inside the simulated world.
 func ExtMDTComparison(opt Options) []MDTRow {
-	d := dataset.NewDatasetA(dataset.Spec{Seed: opt.Seed, Scale: opt.Scale})
+	d := opt.DatasetA()
 	chans := []core.ChannelSpec{core.KPIChannel(0)}
 	driveTrain := d.TrainRuns()
 	budget := 0
@@ -118,7 +118,7 @@ type ClosedLoopRow struct {
 // moves RSRQ and SINR (interference), so conditioning on network-side load
 // should pay off on exactly those channels.
 func ExtClosedLoop(opt Options) []ClosedLoopRow {
-	d := dataset.NewDatasetA(dataset.Spec{Seed: opt.Seed, Scale: opt.Scale})
+	d := opt.DatasetA()
 	chans := []core.ChannelSpec{
 		core.KPIChannel(1), // RSRQ
 		core.KPIChannel(2), // SINR

@@ -27,7 +27,7 @@ type RepeatedRunSeries struct {
 // Figures1And2 reproduces the §3 stochasticity analysis: five runs over
 // the same tram trajectory in Dataset A.
 func Figures1And2(opt Options, nRuns int) RepeatedRunSeries {
-	d := dataset.NewDatasetA(dataset.Spec{Seed: opt.Seed, Scale: opt.Scale})
+	d := opt.DatasetA()
 	tram := d.ScenarioRuns(dataset.ScenarioTram)[0]
 	runs := d.World.RepeatedRuns(tram.Traj, nRuns, opt.Seed*77)
 	out := RepeatedRunSeries{}
@@ -79,8 +79,8 @@ type DensityCase struct {
 // seven cases (Dataset A: walk, bus, tram; Dataset B: two city centres and
 // two highways).
 func Figure4(opt Options) []DensityCase {
-	a := dataset.NewDatasetA(dataset.Spec{Seed: opt.Seed, Scale: opt.Scale})
-	b := dataset.NewDatasetB(dataset.Spec{Seed: opt.Seed, Scale: opt.Scale})
+	a := opt.DatasetA()
+	b := opt.DatasetB()
 	var out []DensityCase
 	add := func(d *dataset.Dataset, name, label string) {
 		runs := d.ScenarioRuns(name)

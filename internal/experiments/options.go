@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"gendt/internal/core"
+	"gendt/internal/dataset"
 )
 
 // Options scales the experiments. Defaults (via DefaultOptions) run the
@@ -60,6 +61,15 @@ func QuickOptions() Options {
 		BaselineEpochs: 2,
 	}
 }
+
+// spec is the world every harness builds: the options' seed and scale.
+func (o Options) spec() dataset.Spec { return dataset.Spec{Seed: o.Seed, Scale: o.Scale} }
+
+// DatasetA builds the Dataset A analogue at the options' seed and scale.
+func (o Options) DatasetA() *dataset.Dataset { return dataset.NewDatasetA(o.spec()) }
+
+// DatasetB builds the Dataset B analogue at the options' seed and scale.
+func (o Options) DatasetB() *dataset.Dataset { return dataset.NewDatasetB(o.spec()) }
 
 // gendtConfig builds a GenDT config for the given channels.
 func (o Options) gendtConfig(chans []core.ChannelSpec) core.Config {

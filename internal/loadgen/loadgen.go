@@ -47,7 +47,7 @@ type RunConfig struct {
 	Arrival string
 	// Timeout bounds each request.
 	Timeout time.Duration
-	// Name labels the report (and the BENCH_serve.json entry it becomes).
+	// Name labels the report.
 	Name string
 }
 

@@ -12,8 +12,7 @@ import (
 )
 
 // Report is the machine-readable result of one replay window — the
-// document gendt-bench emits and ci/benchcheck's -serve mode compares
-// against BENCH_serve.json.
+// document gendt-bench emits.
 type Report struct {
 	Name       string  `json:"name,omitempty"`
 	Target     string  `json:"target"`

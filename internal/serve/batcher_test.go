@@ -10,7 +10,7 @@ import (
 )
 
 // stubGen is a trivial core.Generator whose GenerateJobs returns a shared
-// preallocated result per job: batcher tests and benchmarks exercise the
+// preallocated result per job: batcher tests exercise the
 // admission layer, not a model. With enter set, every call first reports
 // its job count there; with gate set, it then blocks until the gate yields.
 type stubGen struct {
@@ -49,38 +49,28 @@ func (g *stubGen) Precision() core.Precision                      { return core.
 func (g *stubGen) Fingerprint() uint64                            { return 0 }
 func (g *stubGen) WithWorkers(n int) core.Generator               { return g }
 
-// BenchmarkBatcherGenerate measures the admission layer's steady-state
-// per-request cost over a no-op generator, and asserts the run loop's
-// buffer pooling holds: a request round-trip must stay within a small
-// constant allocation budget (the request-side item/channel plus the
-// per-batch result slice), with no per-batch batch/jobs slice growth.
-func BenchmarkBatcherGenerate(b *testing.B) {
+// TestBatcherSteadyStateAllocs asserts the run loop's buffer pooling
+// holds: over a no-op generator a request round-trip must stay within a
+// small constant allocation budget, with no per-batch batch/jobs slice
+// growth.
+func TestBatcherSteadyStateAllocs(t *testing.T) {
 	gen := newStubGen()
 	bt := NewBatcher(func() core.Generator { return gen }, DefaultMaxBatch, nil)
 	defer bt.Close()
 	jobs := []core.GenJob{{Seed: 1}}
 	ctx := context.Background()
-	generate := func() {
+	// AllocsPerRun's own untimed first call warms the pooled buffers.
+	perOp := testing.AllocsPerRun(200, func() {
 		if _, err := bt.Generate(ctx, jobs); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
-	}
-	generate() // warm the pooled buffers before measuring
-	b.ReportAllocs()
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		generate()
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&ms1)
-	perOp := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
-	// Unpooled assembly cost ~2 extra allocs per single-request batch and
-	// grows with batch size; 8 leaves room for the irreducible per-request
-	// allocations (item, done channel, outs, stub result header) plus noise.
-	if perOp > 8 {
-		b.Fatalf("batcher steady state allocates %.1f objects/op, want <= 8 (buffer pooling regressed?)", perOp)
+	})
+	// The four are irreducible per request: item, done channel, outs and
+	// the stub's result header. An unpooled batchBuf or jobsBuf costs one
+	// more each; AllocsPerRun's integer average hides stray runtime
+	// allocations, so the bound is exact.
+	if perOp > 4 {
+		t.Fatalf("batcher steady state allocates %.0f objects/op, want <= 4 (buffer pooling regressed?)", perOp)
 	}
 }
 
