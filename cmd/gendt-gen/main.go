@@ -56,7 +56,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		run = dataset.Run{Scenario: "custom", Traj: tr, Meas: d.World.Annotate(tr)}
+		run = dataset.Run{Scenario: "custom", Traj: tr, Meas: d.World.Annotate(tr, m.Cfg.MaxCells)}
 		haveTruth = false
 	} else {
 		tests := d.TestRuns()

@@ -188,7 +188,7 @@ var (
 )
 
 // World is the simulated radio environment a dataset was measured in.
-// World.Annotate(tr) builds the context-only measurements a trained model
+// World.Annotate(tr, maxCells) builds the context-only measurements a trained model
 // generates against — the operational GenDT workflow of the paper's
 // Figure 5, with no field measurement involved.
 type World = sim.World

@@ -103,7 +103,7 @@ func TestFacadeVirtualDriveTest(t *testing.T) {
 	if len(tr) < 10 {
 		t.Fatalf("route too short: %d", len(tr))
 	}
-	run := Run{Scenario: "custom", Traj: tr, Meas: data.World.Annotate(tr)}
+	run := Run{Scenario: "custom", Traj: tr, Meas: data.World.Annotate(tr, 0)}
 	seq := PrepareSequence(run, chans, 6)
 	series := model.DenormalizeSeries(model.Generate(seq))
 	if len(series[0]) != len(tr) {

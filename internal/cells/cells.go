@@ -107,34 +107,127 @@ type VisibleCell struct {
 	Distance float64 // metres from device to cell site
 }
 
+// reach2 is the squared pre-reject radius for an exact radius r: a cell
+// whose squared planar offset exceeds it is farther than r by a margin
+// that dwarfs the few-ulp error of the square and of math.Hypot, so the
+// cheap test never rejects a cell math.Hypot would admit. It is never below
+// 1 m², which keeps the square clear of underflow.
+func reach2(r float64) float64 {
+	r *= 1 + 1e-9
+	return max(r*r, 1)
+}
+
+// walk calls visit for every indexed cell whose squared planar offset from
+// the point (x, y) is at most *reach, with the cell's index and that
+// offset. *reach starts at reach2(ds) and visit may shrink it as it goes.
+// Buckets are opened in square rings outward from the point's own, and a
+// bucket lying wholly beyond the current reach is never opened, so a caller
+// that shrinks the reach early touches only the buckets around the point.
+func (d *Deployment) walk(x, y, ds float64, reach *float64, visit func(idx int, dx, dy float64)) {
+	cs := d.cellSize
+	// Bucket edges are trusted to within slack, far above their rounding.
+	slack := 1e-6 * cs
+	gap := func(v float64, k int) float64 {
+		lo := float64(k) * cs
+		switch {
+		case v < lo:
+			return max(lo-v-slack, 0)
+		case v > lo+cs:
+			return max(v-lo-cs-slack, 0)
+		}
+		return 0
+	}
+	k0 := d.key(x, y)
+	rings := int(math.Ceil(ds/cs)) + 1
+	for ring := 0; ring <= rings; ring++ {
+		// Every bucket of this ring and beyond is at least this far away.
+		if near := float64(ring-1)*cs - slack; near > 0 && near*near > *reach {
+			return
+		}
+		for bx := k0[0] - ring; bx <= k0[0]+ring; bx++ {
+			step := 2 * ring // interior columns: the ring's top and bottom buckets
+			if bx == k0[0]-ring || bx == k0[0]+ring {
+				step = 1
+			}
+			gx := gap(x, bx)
+			for by := k0[1] - ring; by <= k0[1]+ring; by += step {
+				if gy := gap(y, by); gx*gx+gy*gy > *reach {
+					continue
+				}
+				for _, idx := range d.grid[[2]int{bx, by}] {
+					dx, dy := d.xy[idx][0]-x, d.xy[idx][1]-y
+					if dx*dx+dy*dy <= *reach {
+						visit(idx, dx, dy)
+					}
+				}
+			}
+		}
+	}
+}
+
+// compareVisible orders visible cells by (distance, cell ID), a total
+// order over distinct cells, so a result never depends on the order the
+// walk found its cells in. Distances are never NaN: a NaN fails dist <= ds.
+func compareVisible(a, b VisibleCell) int {
+	switch {
+	case a.Distance < b.Distance:
+		return -1
+	case a.Distance > b.Distance:
+		return 1
+	}
+	return cmp.Compare(a.Cell.ID, b.Cell.ID)
+}
+
 // Visible returns all cells within radius ds metres of loc, sorted by
 // ascending distance. This is the paper's set C_cell of potential serving
 // cells around a device location.
 func (d *Deployment) Visible(loc geo.Point, ds float64) []VisibleCell {
 	x, y := d.proj.ToXY(loc)
-	r := int(math.Ceil(ds/d.cellSize)) + 1
-	k0 := d.key(x, y)
 	var out []VisibleCell
-	for dx := -r; dx <= r; dx++ {
-		for dy := -r; dy <= r; dy++ {
-			for _, idx := range d.grid[[2]int{k0[0] + dx, k0[1] + dy}] {
-				dist := math.Hypot(d.xy[idx][0]-x, d.xy[idx][1]-y)
-				if dist <= ds {
-					out = append(out, VisibleCell{Cell: &d.Cells[idx], Distance: dist})
-				}
-			}
+	reach := reach2(ds)
+	d.walk(x, y, ds, &reach, func(idx int, dx, dy float64) {
+		if dist := math.Hypot(dx, dy); dist <= ds {
+			out = append(out, VisibleCell{Cell: &d.Cells[idx], Distance: dist})
 		}
+	})
+	slices.SortFunc(out, compareVisible)
+	return out
+}
+
+// Nearest returns the k nearest cells within ds metres of loc: exactly
+// Visible(loc, ds)[:k] (all of it when fewer are visible), without
+// building and sorting the whole visible set. A bounded buffer keeps the
+// best k in (distance, ID) order by insertion. Once it is full the walk's
+// reach shrinks to the k-th distance, so farther cells skip math.Hypot and
+// farther buckets are never opened.
+func (d *Deployment) Nearest(loc geo.Point, ds float64, k int) []VisibleCell {
+	if k <= 0 {
+		return nil
 	}
-	// (distance, cell ID) is a total order over distinct cells, so the result
-	// does not depend on the sort algorithm.
-	slices.SortFunc(out, func(a, b VisibleCell) int {
-		switch { // distances are never NaN: a NaN fails dist <= ds above
-		case a.Distance < b.Distance:
-			return -1
-		case a.Distance > b.Distance:
-			return 1
+	x, y := d.proj.ToXY(loc)
+	out := make([]VisibleCell, 0, min(k, len(d.Cells)))
+	reach := reach2(ds)
+	d.walk(x, y, ds, &reach, func(idx int, dx, dy float64) {
+		dist := math.Hypot(dx, dy)
+		if !(dist <= ds) {
+			return
 		}
-		return cmp.Compare(a.Cell.ID, b.Cell.ID)
+		v := VisibleCell{Cell: &d.Cells[idx], Distance: dist}
+		if len(out) == k {
+			if compareVisible(v, out[k-1]) >= 0 {
+				return
+			}
+			out = out[:k-1]
+		}
+		i := len(out)
+		out = append(out, v)
+		for ; i > 0 && compareVisible(v, out[i-1]) < 0; i-- {
+			out[i] = out[i-1]
+		}
+		out[i] = v
+		if len(out) == k {
+			reach = reach2(out[k-1].Distance)
+		}
 	})
 	return out
 }

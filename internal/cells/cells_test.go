@@ -140,6 +140,75 @@ func TestVisibleMatchesReference(t *testing.T) {
 	}
 }
 
+// TestNearestMatchesVisible: Nearest(loc, ds, k) is Visible(loc, ds)[:k]
+// element by element — same cells, same distance bits — at random points,
+// on co-sited sectors (three equal distances at 0 m and beyond), and at
+// radii set exactly to some cell's distance, so the ds boundary and the
+// k-th-distance pre-reject are both hit on equal values. Visible itself is
+// held to the brute-force reference at those boundary radii. The second
+// deployment shuffles cell IDs, so a co-sited sector with the lower ID is
+// often found after the one it must displace.
+func TestNearestMatchesVisible(t *testing.T) {
+	d := testDeployment(t, 4)
+	shuffled := append([]Cell(nil), d.Cells...)
+	rng := rand.New(rand.NewSource(13))
+	for i, id := range rng.Perm(len(shuffled)) {
+		shuffled[i].ID = id
+	}
+	for _, d := range []*Deployment{d, NewDeployment(shuffled, origin, 1000)} {
+		nearestMatchesVisible(t, d, rng)
+	}
+}
+
+func nearestMatchesVisible(t *testing.T, d *Deployment, rng *rand.Rand) {
+	t.Helper()
+	ties, boundary := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		loc := d.proj.FromXY((rng.Float64()-0.5)*9000, (rng.Float64()-0.5)*9000)
+		if trial%10 == 0 {
+			loc = d.Cells[rng.Intn(len(d.Cells))].Site
+		}
+		ds := 300 + rng.Float64()*3500
+		all := d.Visible(loc, ds)
+		if trial%3 == 0 && len(all) > 0 {
+			// Shrink ds onto a visible cell's exact distance: that cell (and
+			// its co-sited sectors) sit on the boundary and must stay in.
+			ds = all[rng.Intn(len(all))].Distance
+			all = d.Visible(loc, ds)
+			if ref := visibleReference(d, loc, ds); len(all) != len(ref) || (len(ref) > 0 && all[len(all)-1].Cell != ref[len(ref)-1].Cell) {
+				t.Fatalf("trial %d: Visible at a boundary radius has %d cells, reference %d", trial, len(all), len(ref))
+			}
+			boundary++
+		}
+		for _, k := range []int{1, 2, 6, 16, len(all) + 5} {
+			got := d.Nearest(loc, ds, k)
+			want := all[:min(k, len(all))]
+			if len(got) != len(want) {
+				t.Fatalf("trial %d k=%d: %d cells, Visible prefix has %d", trial, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Cell != want[i].Cell || math.Float64bits(got[i].Distance) != math.Float64bits(want[i].Distance) {
+					t.Fatalf("trial %d k=%d position %d: cell %d at %v, Visible has cell %d at %v",
+						trial, k, i, got[i].Cell.ID, got[i].Distance, want[i].Cell.ID, want[i].Distance)
+				}
+				if i > 0 && want[i].Distance == want[i-1].Distance {
+					ties++
+				}
+			}
+		}
+	}
+	if ties == 0 || boundary == 0 {
+		t.Fatalf("ties %d, boundary radii %d: an edge case was not exercised", ties, boundary)
+	}
+	if got := d.Nearest(origin, 2000, 0); len(got) != 0 {
+		t.Errorf("Nearest with k=0 returned %d cells", len(got))
+	}
+	far := geo.Offset(origin, 0, 100000)
+	if got := d.Nearest(far, 2000, 6); len(got) != 0 {
+		t.Errorf("Nearest 100 km away returned %d cells", len(got))
+	}
+}
+
 func TestDensityScalesWithSpec(t *testing.T) {
 	dense := testDeployment(t, 8)
 	sparse := testDeployment(t, 1)

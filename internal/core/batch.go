@@ -15,7 +15,7 @@ import (
 // once for the whole micro-batch instead of once per sequence (the int8
 // matmul is per lane). This is the only window loop InferModel has:
 // GenerateSeeded is the engine at width 1, GenerateJobs the engine in
-// chunks of batchLanes, whatever the precision.
+// chunks of at most batchLanes, whatever the precision.
 //
 // A job's output is a pure function of (weights, Seq, Seed), whatever
 // shares the engine with it, because nothing that affects a lane's
@@ -39,8 +39,8 @@ import (
 // covers only still-live lanes, with masks needed only in the node phase
 // (a lane's visible-cell slot count is not monotonic in lane order).
 
-// batchLanes is the engine's capacity in lanes, and the width GenerateJobs
-// chunks to. Eight lanes amortize the f32 weight stream well past the point
+// batchLanes is the engine's capacity in lanes, and the widest chunk
+// GenerateJobs cuts. Eight lanes amortize the f32 weight stream well past the point
 // of diminishing returns for the model sizes in play (1.6× per lane-step
 // over width 1; int8, whose matmul stays per lane, gets the 1.1–1.2× of the
 // plane-wide activations, the modulation sweep and the lockstep residual

@@ -21,7 +21,10 @@ func truncSeq(seq *Sequence, n int) *Sequence {
 // last chunk is ragged — over mixed lengths that exercise window-level
 // lane retirement (length differences spanning BatchLen windows) and the
 // per-timestep prefix shrink.
-func raggedJobs(m *Model, seq *Sequence) []GenJob {
+func raggedJobs(m *Model, seq *Sequence) []GenJob { return raggedJobsN(m, seq, 11) }
+
+// raggedJobsN is n jobs cycling over raggedJobs' six lengths.
+func raggedJobsN(m *Model, seq *Sequence, n int) []GenJob {
 	L := m.Cfg.BatchLen
 	seqs := []*Sequence{
 		seq,
@@ -32,15 +35,46 @@ func raggedJobs(m *Model, seq *Sequence) []GenJob {
 		truncSeq(seq, 1),
 	}
 	var jobs []GenJob
-	for i := 0; i < 11; i++ {
+	for i := 0; i < n; i++ {
 		jobs = append(jobs, GenJob{Seq: seqs[i%len(seqs)], Seed: DeriveSeed(99, i)})
 	}
 	return jobs
 }
 
+// TestGenerateJobsSplitBitIdentical: however GenerateJobs cuts a call —
+// one chunk per worker for calls too small to fill the workers, 8-wide
+// chunks otherwise, ragged remainders either way — every job's output
+// equals that job alone through GenerateSeeded, per precision, for every
+// call size from one job to past two full chunks.
+func TestGenerateJobsSplitBitIdentical(t *testing.T) {
+	m, seq := freezeFixture(t)
+	jobs := raggedJobsN(m, seq, 17)
+	for _, p := range []Precision{PrecisionF32, PrecisionInt8} {
+		im, err := m.Freeze(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone := make([][][]float64, len(jobs))
+		for i, j := range jobs {
+			alone[i] = im.DenormalizeSeries(im.GenerateSeeded(j.Seq, j.Seed))
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			g := im.WithWorkers(workers)
+			for n := 1; n <= len(jobs); n++ {
+				got := g.GenerateJobs(jobs[:n])
+				for i := range got {
+					if !series2Equal(got[i], alone[i]) {
+						t.Fatalf("%s, Workers %d, %d jobs: job %d (T=%d) differs from GenerateSeeded", p, workers, n, i, jobs[i].Seq.Len())
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBatchedGenerateJobsBitIdentical is the engine's contract: a job's
 // output does not depend on what shares the engine with it. GenerateJobs
-// (8-wide chunks) and per-job GenerateSeeded (width 1) must be byte-equal,
+// (chunks of up to 8) and per-job GenerateSeeded (width 1) must be byte-equal,
 // per precision, across mixed sequence lengths (ragged lane retirement),
 // chunk boundaries, and worker fan-out widths.
 func TestBatchedGenerateJobsBitIdentical(t *testing.T) {
@@ -56,7 +90,7 @@ func TestBatchedGenerateJobsBitIdentical(t *testing.T) {
 		for i, job := range jobs {
 			direct := im.DenormalizeSeries(im.GenerateSeeded(job.Seq, job.Seed))
 			if !series2Equal(batched[i], direct) {
-				t.Fatalf("%s: job %d (T=%d): GenerateJobs (width %d) vs direct GenerateSeeded (width 1) differ", p, i, job.Seq.Len(), batchLanes)
+				t.Fatalf("%s: job %d (T=%d): GenerateJobs vs direct GenerateSeeded (width 1) differ", p, i, job.Seq.Len())
 			}
 			if !series2Equal(batched[i], parallel[i]) {
 				t.Fatalf("%s: job %d: Workers=1 vs Workers=3 differ", p, i)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"gendt/internal/dataset"
@@ -278,6 +279,51 @@ func TestGenerateIndependentDiffersFromCarried(t *testing.T) {
 	}
 	if diff == 0 {
 		t.Error("independent generation identical to carried-state generation")
+	}
+}
+
+// TestGenerateIndependentLeavesConfig: the batch-length override is an
+// argument, not a write to m.Cfg, so a concurrent ModelConfig reader (a
+// serving registry's /v1/models) never races the Table 8 strawman — run
+// under -race. The output equals generating with Cfg.BatchLen set to the
+// override, which is what the override used to do.
+func TestGenerateIndependentLeavesConfig(t *testing.T) {
+	d := dataset.NewDatasetA(tinyData)
+	chans := RSRPRSRQChannels()
+	m := NewModel(tinyConfig(chans))
+	test := PrepareSequence(d.TestRuns()[0], chans, 6)
+	want := m.Cfg.BatchLen
+
+	a, b := m.Clone(5), m.Clone(5)
+	b.Cfg.BatchLen = 8
+	if !series2Equal(a.GenerateIndependent(test, 8), b.GenerateIndependent(test, 0)) {
+		t.Fatal("GenerateIndependent(seq, 8) differs from generating with Cfg.BatchLen = 8")
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if got := m.ModelConfig().BatchLen; got != want {
+					t.Errorf("Cfg.BatchLen read %d mid-generation, want %d", got, want)
+					return
+				}
+			}
+		}
+	}()
+	for _, L := range []int{1, 3, 8, 0} {
+		m.GenerateIndependent(test, L)
+	}
+	close(stop)
+	wg.Wait()
+	if m.Cfg.BatchLen != want {
+		t.Fatalf("Cfg.BatchLen = %d after GenerateIndependent, want %d", m.Cfg.BatchLen, want)
 	}
 }
 

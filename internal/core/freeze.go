@@ -243,17 +243,20 @@ func clamp01f32(v float32) float32 {
 }
 
 // GenerateJobs implements Generator: no cloning — every job runs straight
-// on the frozen weights, in chunks of batchLanes jobs per engine, the chunks
-// fanned out over Cfg.Workers. A job's output does not depend on what
-// shares its chunk.
+// on the frozen weights, one engine per chunk, the chunks fanned out over
+// Cfg.Workers. A call is cut into max(⌈n/batchLanes⌉, min(Workers, n))
+// near-equal contiguous chunks, so no chunk is wider than batchLanes and a
+// call too small to fill the workers still uses all of them: a lone
+// 8-sample request runs as 4 + 4 lanes on two workers, while a call that
+// already fills them chunks 8 wide. The cut cannot move a bit — a job's
+// output does not depend on what shares its chunk — and costs little per
+// lane, because the f32 GEMM tile is 4 lanes wide.
 func (im *InferModel) GenerateJobs(jobs []GenJob) [][][]float64 {
-	out := make([][][]float64, len(jobs))
-	parallelFor(im.Cfg.Workers, (len(jobs)+batchLanes-1)/batchLanes, func(ci int) {
-		lo := ci * batchLanes
-		hi := lo + batchLanes
-		if hi > len(jobs) {
-			hi = len(jobs)
-		}
+	n := len(jobs)
+	out := make([][][]float64, n)
+	chunks := max((n+batchLanes-1)/batchLanes, min(im.Cfg.Workers, n))
+	parallelFor(im.Cfg.Workers, chunks, func(ci int) {
+		lo, hi := ci*n/chunks, (ci+1)*n/chunks
 		var norm [batchLanes][]float64
 		im.generate(jobs[lo:hi], norm[:hi-lo])
 		for i, flat := range norm[:hi-lo] {

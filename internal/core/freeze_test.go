@@ -99,9 +99,8 @@ func hashSeries(series ...[][]float64) uint64 {
 // from that path, at the commit before its removal, on this fixture:
 // GenerateSeeded for two seeds, and the raggedJobs set through
 // GenerateJobs with batching off. The engine must reproduce them at width
-// 1 (GenerateSeeded) and at width batchLanes (GenerateJobs, on one worker
-// and fanned out); any drift means a frozen model no longer generates what
-// it did.
+// 1 (GenerateSeeded) and in GenerateJobs' chunks on one worker and on
+// three; any drift means a frozen model no longer generates what it did.
 func TestFrozenEngineGolden(t *testing.T) {
 	if !nn.Accelerated() {
 		t.Skip("goldens were captured on the AVX2+FMA kernels; the portable kernels round differently")
@@ -131,9 +130,9 @@ func TestFrozenEngineGolden(t *testing.T) {
 			alone[i] = im.DenormalizeSeries(im.GenerateSeeded(j.Seq, j.Seed))
 		}
 		for name, got := range map[string][][][]float64{
-			"width 1":            alone,
-			"width 8":            im.WithWorkers(1).GenerateJobs(jobs),
-			"width 8, 3 workers": im.WithWorkers(3).GenerateJobs(jobs),
+			"width 1":   alone,
+			"1 worker":  im.WithWorkers(1).GenerateJobs(jobs),
+			"3 workers": im.WithWorkers(3).GenerateJobs(jobs),
 		} {
 			if h := hashSeries(got...); h != tc.jobs {
 				t.Errorf("%s: ragged jobs at %s hash = %#x, want %#x", tc.p, name, h, tc.jobs)
@@ -250,7 +249,9 @@ func TestFrozenMatchesConfigShape(t *testing.T) {
 }
 
 // TestPrecisionPersistRoundTrip: a model saved with a preferred serving
-// precision loads with it intact, and corrupt values are rejected.
+// precision loads with it intact — from a model file and from a training
+// checkpoint, which gendt-serve serves directly — and corrupt values are
+// rejected.
 func TestPrecisionPersistRoundTrip(t *testing.T) {
 	m, _ := freezeFixture(t)
 	m.Cfg.Precision = PrecisionInt8
@@ -265,6 +266,29 @@ func TestPrecisionPersistRoundTrip(t *testing.T) {
 	}
 	if loaded.Cfg.Precision != PrecisionInt8 {
 		t.Errorf("loaded precision = %q, want int8", loaded.Cfg.Precision)
+	}
+
+	ck, err := EncodeTrainState(m.captureTrainState(1, 0, 0, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := DecodeTrainState(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromState, err := NewModelFromTrainState(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := Load(bytes.NewReader(ck))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]*Model{"NewModelFromTrainState": fromState, "Load(checkpoint)": fromFile} {
+		if snapConfig(got.Cfg) != snapConfig(m.Cfg) || got.Fingerprint() != m.Fingerprint() {
+			t.Errorf("%s: config %+v, want %+v (weights equal: %v)",
+				name, snapConfig(got.Cfg), snapConfig(m.Cfg), got.Fingerprint() == m.Fingerprint())
+		}
 	}
 
 	data := bytes.ReplaceAll(saved, []byte(`"precision":"int8"`), []byte(`"precision":"zzz"`))

@@ -11,27 +11,23 @@ import "sync"
 // generation. The returned series has the sequence's full length and is in
 // normalized [0,1] units; use DenormalizeSeries for physical units.
 func (m *Model) Generate(seq *Sequence) [][]float64 {
-	return m.generate(seq, true)
+	return m.generate(seq, m.Cfg.BatchLen, true)
 }
 
 // GenerateIndependent generates each batch independently (autoregressive
 // lags cleared at every batch boundary, so nothing crosses it) — the
 // "stitching independently generated short trajectories" strawman of the
 // paper's Table 8/Figure 10. batchLen overrides the model's batch length
-// when positive.
+// when positive; m.Cfg is never written.
 func (m *Model) GenerateIndependent(seq *Sequence, batchLen int) [][]float64 {
-	saved := m.Cfg.BatchLen
-	// Restore via defer: a panic mid-generation must not leave the model
-	// with a mutated batch length.
-	defer func() { m.Cfg.BatchLen = saved }()
-	if batchLen > 0 {
-		m.Cfg.BatchLen = batchLen
+	if batchLen <= 0 {
+		batchLen = m.Cfg.BatchLen
 	}
-	return m.generate(seq, false)
+	return m.generate(seq, batchLen, false)
 }
 
-func (m *Model) generate(seq *Sequence, carryLags bool) [][]float64 {
-	cfg := m.Cfg
+// generate runs the batch loop with batches of batchLen steps.
+func (m *Model) generate(seq *Sequence, batchLen int, carryLags bool) [][]float64 {
 	T := seq.Len()
 	m.SetNoise(true)
 	if m.res != nil {
@@ -42,8 +38,8 @@ func (m *Model) generate(seq *Sequence, carryLags bool) [][]float64 {
 	}
 	out := make([][]float64, 0, T)
 
-	for lo := 0; lo < T; lo += cfg.BatchLen {
-		L := cfg.BatchLen
+	for lo := 0; lo < T; lo += batchLen {
+		L := batchLen
 		if lo+L > T {
 			L = T - lo
 		}

@@ -57,6 +57,51 @@ type cfgSnap struct {
 	Precision string  `json:"precision,omitempty"`
 }
 
+// snapConfig is the persisted form of c's architecture fields: the one
+// Config → file mapping, shared by model files and checkpoints.
+func snapConfig(c Config) cfgSnap {
+	return cfgSnap{
+		Hidden: c.Hidden, NoiseDim: c.NoiseDim, ResNoise: c.ResNoise,
+		Lags: c.Lags, BatchLen: c.BatchLen, StepLen: c.StepLen,
+		MaxCells: c.MaxCells, Lambda: c.Lambda,
+		AH: c.AH, AC: c.AC, DropoutP: c.DropoutP,
+		LoadAware: c.LoadAware,
+		NoResGen:  c.NoResGen, NoSRNN: c.NoSRNN, Seed: c.Seed,
+		Workers: c.Workers, Precision: string(c.Precision),
+	}
+}
+
+// config is snapConfig's inverse over the named channels.
+func (c cfgSnap) config(names []string) (Config, error) {
+	var chans []ChannelSpec
+	for _, name := range names {
+		ch, err := ChannelByName(name)
+		if err != nil {
+			return Config{}, err
+		}
+		chans = append(chans, ch)
+	}
+	return Config{
+		Channels: chans,
+		Hidden:   c.Hidden, NoiseDim: c.NoiseDim, ResNoise: c.ResNoise,
+		Lags: c.Lags, BatchLen: c.BatchLen, StepLen: c.StepLen,
+		MaxCells: c.MaxCells, Lambda: c.Lambda,
+		AH: c.AH, AC: c.AC, DropoutP: c.DropoutP,
+		LoadAware: c.LoadAware,
+		NoResGen:  c.NoResGen, NoSRNN: c.NoSRNN, Seed: c.Seed,
+		Workers: c.Workers, Precision: Precision(c.Precision),
+	}, nil
+}
+
+// channelNames lists the channels' names, the form files persist them in.
+func channelNames(chans []ChannelSpec) []string {
+	var names []string
+	for _, ch := range chans {
+		names = append(names, ch.Name)
+	}
+	return names
+}
+
 // maxDim bounds every persisted size field. NewModel allocates O(dim²)
 // memory from these, so a corrupt or hostile file must not be able to
 // demand an absurd architecture (found by fuzzing: a negative or huge
@@ -150,19 +195,9 @@ func (m *Model) Save(w io.Writer) error {
 // encodeSnapshot serializes the model to its on-disk byte format.
 func (m *Model) encodeSnapshot() ([]byte, error) {
 	snap := snapshot{
-		Version: 1,
-		Cfg: cfgSnap{
-			Hidden: m.Cfg.Hidden, NoiseDim: m.Cfg.NoiseDim, ResNoise: m.Cfg.ResNoise,
-			Lags: m.Cfg.Lags, BatchLen: m.Cfg.BatchLen, StepLen: m.Cfg.StepLen,
-			MaxCells: m.Cfg.MaxCells, Lambda: m.Cfg.Lambda,
-			AH: m.Cfg.AH, AC: m.Cfg.AC, DropoutP: m.Cfg.DropoutP,
-			LoadAware: m.Cfg.LoadAware,
-			NoResGen:  m.Cfg.NoResGen, NoSRNN: m.Cfg.NoSRNN, Seed: m.Cfg.Seed,
-			Workers: m.Cfg.Workers, Precision: string(m.Cfg.Precision),
-		},
-	}
-	for _, ch := range m.Cfg.Channels {
-		snap.Channels = append(snap.Channels, ch.Name)
+		Version:  1,
+		Channels: channelNames(m.Cfg.Channels),
+		Cfg:      snapConfig(m.Cfg),
 	}
 	for _, p := range m.allParams() {
 		snap.Params = append(snap.Params, p.W)
@@ -258,25 +293,11 @@ func Load(r io.Reader) (*Model, error) {
 	if err := snap.Cfg.validate(len(snap.Channels)); err != nil {
 		return nil, err
 	}
-	var chans []ChannelSpec
-	for _, name := range snap.Channels {
-		ch, err := ChannelByName(name)
-		if err != nil {
-			return nil, err
-		}
-		chans = append(chans, ch)
+	cfg, err := snap.Cfg.config(snap.Channels)
+	if err != nil {
+		return nil, err
 	}
-	c := snap.Cfg
-	m := NewModel(Config{
-		Channels: chans,
-		Hidden:   c.Hidden, NoiseDim: c.NoiseDim, ResNoise: c.ResNoise,
-		Lags: c.Lags, BatchLen: c.BatchLen, StepLen: c.StepLen,
-		MaxCells: c.MaxCells, Lambda: c.Lambda,
-		AH: c.AH, AC: c.AC, DropoutP: c.DropoutP,
-		LoadAware: c.LoadAware,
-		NoResGen:  c.NoResGen, NoSRNN: c.NoSRNN, Seed: c.Seed,
-		Workers: c.Workers, Precision: Precision(c.Precision),
-	})
+	m := NewModel(cfg)
 	params := m.allParams()
 	if len(params) != len(snap.Params) {
 		return nil, fmt.Errorf("core: load: parameter count mismatch (%d vs %d)",

@@ -68,20 +68,13 @@ const trainStateVersion = 1
 func (m *Model) captureTrainState(epoch int, mse, dloss float64, replicas []*Model, order []int) *TrainState {
 	cfg := m.Cfg
 	ts := &TrainState{
-		Kind:    TrainStateKind,
-		Version: trainStateVersion,
-		Epoch:   epoch,
+		Kind:     TrainStateKind,
+		Version:  trainStateVersion,
+		Epoch:    epoch,
+		Channels: channelNames(cfg.Channels),
 		Cfg: trainCfgSnap{
-			cfgSnap: cfgSnap{
-				Hidden: cfg.Hidden, NoiseDim: cfg.NoiseDim, ResNoise: cfg.ResNoise,
-				Lags: cfg.Lags, BatchLen: cfg.BatchLen, StepLen: cfg.StepLen,
-				MaxCells: cfg.MaxCells, Lambda: cfg.Lambda,
-				AH: cfg.AH, AC: cfg.AC, DropoutP: cfg.DropoutP,
-				LoadAware: cfg.LoadAware,
-				NoResGen:  cfg.NoResGen, NoSRNN: cfg.NoSRNN, Seed: cfg.Seed,
-				Workers: cfg.Workers,
-			},
-			Epochs: cfg.Epochs, LR: cfg.LR, DiscLR: cfg.DiscLR,
+			cfgSnap: snapConfig(cfg),
+			Epochs:  cfg.Epochs, LR: cfg.LR, DiscLR: cfg.DiscLR,
 			ClipNorm: cfg.ClipNorm, LagNoise: cfg.LagNoise,
 			NoGANLoss: cfg.NoGANLoss, NoBatch: cfg.NoBatch,
 		},
@@ -90,9 +83,6 @@ func (m *Model) captureTrainState(epoch int, mse, dloss float64, replicas []*Mod
 		RNG:        m.rngSrc.state(),
 		FinalMSE:   mse,
 		FinalDLoss: dloss,
-	}
-	for _, ch := range cfg.Channels {
-		ts.Channels = append(ts.Channels, ch.Name)
 	}
 	for _, p := range m.allParams() {
 		ts.Params = append(ts.Params, append([]float64(nil), p.W...))
@@ -127,28 +117,15 @@ func restoreWindowOrder(order []int, ts *TrainState) error {
 // ModelConfig reconstructs the full training Config the checkpoint was
 // taken under, including channels.
 func (ts *TrainState) ModelConfig() (Config, error) {
-	var chans []ChannelSpec
-	for _, name := range ts.Channels {
-		ch, err := ChannelByName(name)
-		if err != nil {
-			return Config{}, err
-		}
-		chans = append(chans, ch)
+	cfg, err := ts.Cfg.config(ts.Channels)
+	if err != nil {
+		return Config{}, err
 	}
 	c := ts.Cfg
-	return Config{
-		Channels: chans,
-		Hidden:   c.Hidden, NoiseDim: c.NoiseDim, ResNoise: c.ResNoise,
-		Lags: c.Lags, BatchLen: c.BatchLen, StepLen: c.StepLen,
-		MaxCells: c.MaxCells, Lambda: c.Lambda,
-		AH: c.AH, AC: c.AC, DropoutP: c.DropoutP,
-		LoadAware: c.LoadAware,
-		NoResGen:  c.NoResGen, NoSRNN: c.NoSRNN, Seed: c.Seed,
-		Workers: c.Workers,
-		Epochs:  c.Epochs, LR: c.LR, DiscLR: c.DiscLR,
-		ClipNorm: c.ClipNorm, LagNoise: c.LagNoise,
-		NoGANLoss: c.NoGANLoss, NoBatch: c.NoBatch,
-	}, nil
+	cfg.Epochs, cfg.LR, cfg.DiscLR = c.Epochs, c.LR, c.DiscLR
+	cfg.ClipNorm, cfg.LagNoise = c.ClipNorm, c.LagNoise
+	cfg.NoGANLoss, cfg.NoBatch = c.NoGANLoss, c.NoBatch
+	return cfg, nil
 }
 
 // validate rejects checkpoints whose structure cannot belong to a model

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -592,6 +593,52 @@ func TestPrepCacheReuse(t *testing.T) {
 	if s1.Len() != len(fix.route) {
 		t.Fatalf("prepared length %d, want %d", s1.Len(), len(fix.route))
 	}
+}
+
+// TestPrepareMatchesFullAnnotation: Prepare annotates only the MaxCells
+// nearest cells per step, and the sequence it builds must equal, bit for
+// bit, the one prepared from a full annotation of the same route. The
+// benchmark's verifier prepares through the same World, so only this test
+// can catch a cell-selection bug on the serving path.
+func TestPrepareMatchesFullAnnotation(t *testing.T) {
+	d := dataset.NewDatasetA(fixSpec)
+	w := NewWorldFrom(d)
+	runs := append(append([]dataset.Run(nil), d.TestRuns()...), d.TrainRuns()[:2]...)
+	for _, maxCells := range []int{1, 6, 16} {
+		cfg := fixCfg()
+		cfg.MaxCells = maxCells
+		m := core.NewModel(cfg)
+		for ri, run := range runs {
+			got, _ := w.Prepare(run.Traj, m)
+			full := dataset.Run{Traj: run.Traj, Meas: d.World.Annotate(run.Traj, 0)}
+			want := core.PrepareSequenceWith(full, cfg.Channels, core.PrepareOptions{MaxCells: maxCells})
+			if !rowsBitEqual(got.KPIs, want.KPIs) || !rowsBitEqual(got.Env, want.Env) || len(got.Cells) != len(want.Cells) {
+				t.Fatalf("MaxCells %d run %d: KPI or environment tensors differ from a full annotation", maxCells, ri)
+			}
+			for ti := range want.Cells {
+				if !rowsBitEqual(got.Cells[ti], want.Cells[ti]) {
+					t.Fatalf("MaxCells %d run %d step %d: cell tensors differ from a full annotation", maxCells, ri, ti)
+				}
+			}
+		}
+	}
+}
+
+func rowsBitEqual(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // trainCheckpointBytes trains the fixture model for `epochs` epochs and

@@ -59,8 +59,10 @@ func (w *World) Prepare(tr geo.Trajectory, g core.Generator) (*core.Sequence, bo
 
 	// Annotation runs unlocked: it is the expensive part and is safe to
 	// race (worst case two requests prepare the same route and one result
-	// wins the cache slot).
-	run := dataset.Run{Scenario: "serve", Traj: tr, Meas: w.ds.World.Annotate(tr)}
+	// wins the cache slot). It finds only the MaxCells nearest cells per
+	// step, the prefix preparation keeps; nothing on the serving path reads
+	// the sequence's Raw measurements past them.
+	run := dataset.Run{Scenario: "serve", Traj: tr, Meas: w.ds.World.Annotate(tr, cfg.MaxCells)}
 	seq := core.PrepareSequenceWith(run, cfg.Channels, core.PrepareOptions{
 		MaxCells: cfg.MaxCells, LoadAware: cfg.LoadAware,
 	})

@@ -215,13 +215,23 @@ func (w *World) RepeatedRuns(tr geo.Trajectory, n int, base int64) [][]Measureme
 // of the GenDT workflow (paper Figure 5): an operator supplies a new
 // trajectory, annotates it with the context they already hold, and feeds
 // it to a trained model — no field measurement involved.
-func (w *World) Annotate(tr geo.Trajectory) []Measurement {
+//
+// maxCells > 0 keeps only the nearest maxCells visible cells per step —
+// exactly the prefix a model with that cell cap prepares from, found
+// without sorting the full set; 0 keeps every visible cell.
+func (w *World) Annotate(tr geo.Trajectory, maxCells int) []Measurement {
 	out := make([]Measurement, 0, len(tr))
 	for _, s := range tr {
+		var vis []cells.VisibleCell
+		if maxCells > 0 {
+			vis = w.Deployment.Nearest(s.Point, w.VisibleRange, maxCells)
+		} else {
+			vis = w.Deployment.Visible(s.Point, w.VisibleRange)
+		}
 		out = append(out, Measurement{
 			T: s.T, Loc: s.Point,
 			ServingCell: -1,
-			Visible:     w.Deployment.Visible(s.Point, w.VisibleRange),
+			Visible:     vis,
 			EnvCtx:      w.Env.ContextAt(s.Point, w.EnvRadius),
 		})
 	}

@@ -174,7 +174,7 @@ func meanStd(xs []float64) (mean, std float64) {
 func TestAnnotateContextOnly(t *testing.T) {
 	w := testWorld(t)
 	tr := cityRoute(60, 9)
-	ms := w.Annotate(tr)
+	ms := w.Annotate(tr, 0)
 	if len(ms) != len(tr) {
 		t.Fatalf("annotated %d of %d samples", len(ms), len(tr))
 	}

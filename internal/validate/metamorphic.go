@@ -300,7 +300,7 @@ func meanChannelOnCircle(g core.Generator, opts Options, site geo.Point, radius 
 		tr[i] = geo.Sample{Point: p, T: float64(i)}
 	}
 	cfg := g.ModelConfig()
-	run := dataset.Run{Scenario: "validate-probe", Traj: tr, Meas: opts.Dataset.World.Annotate(tr)}
+	run := dataset.Run{Scenario: "validate-probe", Traj: tr, Meas: opts.Dataset.World.Annotate(tr, 0)}
 	seq := core.PrepareSequenceWith(run, cfg.Channels, core.PrepareOptions{
 		MaxCells: cfg.MaxCells, LoadAware: cfg.LoadAware,
 	})
