@@ -33,10 +33,12 @@ type Config struct {
 
 	// Workers sets the data-parallel width of training and of the
 	// embarrassingly parallel inference paths (GenerateAll, GenerateN,
-	// ModelUncertainty). 0 defaults to runtime.NumCPU(). Workers=1
-	// reproduces the original serial training loop bit-for-bit; Workers=N
-	// trains with worker-replica gradient accumulation over mini-batches
-	// of N windows (deterministic for a fixed Seed and N — see DESIGN.md,
+	// ModelUncertainty). 0 defaults to runtime.NumCPU(); a negative value
+	// means 1. The one training loop runs one window per worker per
+	// optimizer step: at Workers=1 the model is its own only worker, which
+	// reproduces the original serial loop bit-for-bit; Workers=N trains N
+	// cloned workers with gradient accumulation over mini-batches of N
+	// windows (deterministic for a fixed Seed and N — see DESIGN.md,
 	// "Parallel training engine").
 	Workers int
 
@@ -125,6 +127,10 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.NumCPU()
+	}
+	if c.Workers < 0 {
+		// Load rejects a negative width, so one must never reach a file.
+		c.Workers = 1
 	}
 	if c.NoBatch {
 		c.StepLen = c.BatchLen

@@ -1,23 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"hash"
-	"hash/fnv"
 	"math"
 	"testing"
 
 	"gendt/internal/dataset"
 )
-
-// paramFingerprint hashes every trained weight (FNV-64a over the IEEE-754
-// bits, in the stable allParams order), so two models compare bit-for-bit.
-func paramFingerprint(m *Model) uint64 {
-	h := fnv.New64a()
-	for _, p := range m.allParams() {
-		fnvFloats(h, p.W)
-	}
-	return h.Sum64()
-}
 
 // fnvFloats feeds the little-endian IEEE-754 bits of each value to h.
 func fnvFloats(h hash.Hash64, vs []float64) {
@@ -43,30 +33,73 @@ func trainTiny(t *testing.T, workers int) (*Model, TrainResult, []*Sequence) {
 	return m, res, seqs
 }
 
-// TestSerialTrainGolden pins the Workers=1 training loop to the exact
-// result of the original (pre-data-parallel) serial implementation. The
-// constants below were captured from that implementation on this test
-// fixture; any drift means the serial path is no longer bit-identical.
-func TestSerialTrainGolden(t *testing.T) {
-	m, res, _ := trainTiny(t, 1)
-	const (
-		wantFP      = uint64(0x3b8bee12abd514f)
-		wantWindows = 45
-		wantMSE     = 0.06277261227316246
-		wantDLoss   = 1.3729425336730128
-	)
-	if res.Windows != wantWindows {
-		t.Errorf("windows = %d, want %d", res.Windows, wantWindows)
+// trainGolden is one pinned training outcome: the window count, the final
+// epoch's losses and the fingerprint of every trained weight.
+type trainGolden struct {
+	windows    int
+	fp         uint64
+	mse, dloss float64
+}
+
+// check compares a trained model and its result with g, bit for bit.
+func (g trainGolden) check(t *testing.T, m *Model, res TrainResult) {
+	t.Helper()
+	if res.Windows != g.windows {
+		t.Errorf("windows = %d, want %d", res.Windows, g.windows)
 	}
-	if res.FinalMSE != wantMSE {
-		t.Errorf("FinalMSE = %v, want %v (must be bit-identical)", res.FinalMSE, wantMSE)
+	if res.FinalMSE != g.mse {
+		t.Errorf("FinalMSE = %v, want %v (must be bit-identical)", res.FinalMSE, g.mse)
 	}
-	if res.FinalDLoss != wantDLoss {
-		t.Errorf("FinalDLoss = %v, want %v (must be bit-identical)", res.FinalDLoss, wantDLoss)
+	if res.FinalDLoss != g.dloss {
+		t.Errorf("FinalDLoss = %v, want %v (must be bit-identical)", res.FinalDLoss, g.dloss)
 	}
-	if fp := paramFingerprint(m); fp != wantFP {
-		t.Errorf("param fingerprint = %#x, want %#x (must be bit-identical)", fp, wantFP)
+	if fp := m.Fingerprint(); fp != g.fp {
+		t.Errorf("fingerprint = %#x, want %#x (must be bit-identical)", fp, g.fp)
 	}
+}
+
+// TestTrainGolden pins the training loop at every width on the tiny
+// fixture. Workers 1 is the original serial per-window loop (the constants
+// predate the data-parallel engine); Workers 2 and 3 are the cloned-worker
+// mini-batch path; Workers 64 is clamped to one clone per window (45). Any
+// drift means a trained bit moved.
+func TestTrainGolden(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		want    trainGolden
+	}{
+		{1, trainGolden{45, 0x3b8bee12abd514f, 0.06277261227316246, 1.3729425336730128}},
+		{2, trainGolden{45, 0x9a592eab45435211, 0.08241735944565923, 1.3320324934414958}},
+		{3, trainGolden{45, 0x89fdd5576e42be39, 0.11107555123454879, 1.2997787128834866}},
+		{64, trainGolden{45, 0xb97a4d8ef18bd999, 0.48741185828288686, 1.2713300365283684}},
+	} {
+		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
+			m, res, _ := trainTiny(t, tc.workers)
+			tc.want.check(t, m, res)
+		})
+	}
+}
+
+// TestBenchFixtureTrainGolden pins one epoch of the benchmark's fixture
+// model (world A at seed 1, scale 0.05; Hidden 100, Workers 2): the
+// paper-size training the `train` workload times. It takes seconds, so it
+// skips under -race.
+func TestBenchFixtureTrainGolden(t *testing.T) {
+	if raceEnabled {
+		t.Skip("paper-size training is too slow under -race")
+	}
+	d, err := dataset.NewByName("A", dataset.Spec{Seed: 1, Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Channels: StandardChannels(),
+		Hidden:   100, BatchLen: 12, StepLen: 6, MaxCells: 6,
+		Epochs: 1, Seed: 1, Workers: 2,
+	}
+	m := NewModel(cfg)
+	res := m.Train(PrepareAll(d.TrainRuns(), cfg.Channels, cfg.MaxCells), nil)
+	trainGolden{168, 0x306e8548b663522b, 0.04686949673640883, 1.2120054289768039}.check(t, m, res)
 }
 
 // TestParallelTrainReproducible checks that the data-parallel engine is
@@ -78,7 +111,7 @@ func TestParallelTrainReproducible(t *testing.T) {
 	if r1 != r2 {
 		t.Errorf("TrainResult differs across runs: %+v vs %+v", r1, r2)
 	}
-	fp1, fp2 := paramFingerprint(m1), paramFingerprint(m2)
+	fp1, fp2 := m1.Fingerprint(), m2.Fingerprint()
 	if fp1 != fp2 {
 		t.Errorf("param fingerprint differs across runs: %#x vs %#x", fp1, fp2)
 	}
@@ -103,9 +136,9 @@ func TestParallelTrainLearns(t *testing.T) {
 // weights or stepping its optimizer must not affect the original.
 func TestCloneIndependence(t *testing.T) {
 	m, _, seqs := trainTiny(t, 1)
-	fp := paramFingerprint(m)
+	fp := m.Fingerprint()
 	c := m.Clone(123)
-	if paramFingerprint(c) != fp {
+	if c.Fingerprint() != fp {
 		t.Fatal("clone does not start with identical weights")
 	}
 	for _, p := range c.allParams() {
@@ -113,7 +146,7 @@ func TestCloneIndependence(t *testing.T) {
 			p.W[i] += 1
 		}
 	}
-	if paramFingerprint(m) != fp {
+	if m.Fingerprint() != fp {
 		t.Error("mutating clone weights changed the original")
 	}
 	// The clone must be usable standalone (fresh caches, own RNG).

@@ -144,6 +144,22 @@ func (m *Model) allParams() []*nn.Param {
 	return append(m.genParams(), m.discParams()...)
 }
 
+// checkParams reports whether persisted weights fit m: one group per
+// allParams entry, each of the same length. Callers prefix the error with
+// what they were reading.
+func (m *Model) checkParams(params [][]float64) error {
+	ps := m.allParams()
+	if len(ps) != len(params) {
+		return fmt.Errorf("parameter count mismatch (%d vs %d)", len(ps), len(params))
+	}
+	for i, p := range ps {
+		if len(p.W) != len(params[i]) {
+			return fmt.Errorf("parameter %d size mismatch (%d vs %d)", i, len(p.W), len(params[i]))
+		}
+	}
+	return nil
+}
+
 // checksumTrailer is the integrity record appended after the payload line:
 // a second JSON line carrying the CRC32 (IEEE) of the payload line's exact
 // bytes (newline included). Readers verify it when present; files written
@@ -298,16 +314,10 @@ func Load(r io.Reader) (*Model, error) {
 		return nil, err
 	}
 	m := NewModel(cfg)
-	params := m.allParams()
-	if len(params) != len(snap.Params) {
-		return nil, fmt.Errorf("core: load: parameter count mismatch (%d vs %d)",
-			len(params), len(snap.Params))
+	if err := m.checkParams(snap.Params); err != nil {
+		return nil, fmt.Errorf("core: load: %w", err)
 	}
-	for i, p := range params {
-		if len(p.W) != len(snap.Params[i]) {
-			return nil, fmt.Errorf("core: load: parameter %d size mismatch (%d vs %d)",
-				i, len(p.W), len(snap.Params[i]))
-		}
+	for i, p := range m.allParams() {
 		copy(p.W, snap.Params[i])
 	}
 	return m, nil

@@ -75,6 +75,46 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestNegativeWorkersRoundTrip checks that a negative Workers means one
+// worker everywhere: the model file and the checkpoint of such a run both
+// load, and come back with Workers == 1.
+func TestNegativeWorkersRoundTrip(t *testing.T) {
+	d := dataset.NewDatasetA(tinyData)
+	cfg := tinyConfig(RSRPRSRQChannels())
+	cfg.Workers, cfg.Epochs = -1, 1
+	m := NewModel(cfg)
+	var ts *TrainState
+	if _, err := m.TrainWithOptions(PrepareAll(d.TrainRuns(), cfg.Channels, cfg.MaxCells), TrainOpts{
+		AfterEpoch: func(ev EpochEvent) error { ts = ev.State(); return nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("model file: %v", err)
+	}
+	if loaded.Cfg.Workers != 1 {
+		t.Errorf("model file: Workers = %d, want 1", loaded.Cfg.Workers)
+	}
+
+	data, err := EncodeTrainState(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeTrainState(data)
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if back.Cfg.Workers != 1 || len(back.WorkerRNGs) != 0 {
+		t.Errorf("checkpoint: Workers = %d with %d worker RNGs, want 1 with 0", back.Cfg.Workers, len(back.WorkerRNGs))
+	}
+}
+
 func TestChannelByName(t *testing.T) {
 	for _, name := range []string{"RSRP", "RSRQ", "SINR", "CQI", "ServingRank"} {
 		ch, err := ChannelByName(name)

@@ -139,31 +139,45 @@ func TestResumePastEndIsNoop(t *testing.T) {
 	}
 }
 
+func TestResumeBitIdenticalWorkers64(t *testing.T) { resumeFingerprintTest(t, 64) }
+
 // TestResumeWorkerMismatchFails checks the guard rails: a parallel
 // checkpoint cannot silently resume serial (or with a different worker
-// count), and an architecture mismatch is rejected.
+// count), and a different training set or architecture is rejected. A
+// rejected resume must leave the model exactly as NewModel built it:
+// weights and RNG stream untouched.
 func TestResumeWorkerMismatchFails(t *testing.T) {
 	ts, seqs := interruptAt(t, 3, 4, 1)
 	cfg, err := ts.ModelConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
+	withWorkers := func(n int) Config { c := cfg; c.Workers = n; return c }
+	bigger := cfg
+	bigger.Hidden = cfg.Hidden + 2
 
-	cfgSerial := cfg
-	cfgSerial.Workers = 1
-	if _, err := NewModel(cfgSerial).TrainWithOptions(seqs, TrainOpts{Resume: ts}); err == nil {
-		t.Error("serial resume of a 3-worker checkpoint should fail")
-	}
-	cfgTwo := cfg
-	cfgTwo.Workers = 2
-	if _, err := NewModel(cfgTwo).TrainWithOptions(seqs, TrainOpts{Resume: ts}); err == nil {
-		t.Error("2-worker resume of a 3-worker checkpoint should fail")
-	}
-
-	cfgBig := cfg
-	cfgBig.Hidden = cfg.Hidden + 2
-	if _, err := NewModel(cfgBig).TrainWithOptions(seqs, TrainOpts{Resume: ts}); err == nil {
-		t.Error("resume into a different architecture should fail")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		seqs []*Sequence
+	}{
+		{"serial resume of a 3-worker checkpoint", withWorkers(1), seqs},
+		{"2-worker resume of a 3-worker checkpoint", withWorkers(2), seqs},
+		{"resume on a different training set", cfg, seqs[:len(seqs)-1]},
+		{"resume into a different architecture", bigger, seqs},
+	} {
+		m := NewModel(tc.cfg)
+		if _, err := m.TrainWithOptions(tc.seqs, TrainOpts{Resume: ts}); err == nil {
+			t.Errorf("%s should fail", tc.name)
+			continue
+		}
+		fresh := NewModel(tc.cfg)
+		if m.Fingerprint() != fresh.Fingerprint() {
+			t.Errorf("%s: rejected resume changed the weights", tc.name)
+		}
+		if got, want := m.rng.Int63(), fresh.rng.Int63(); got != want {
+			t.Errorf("%s: rejected resume moved the RNG stream (%d, want %d)", tc.name, got, want)
+		}
 	}
 }
 

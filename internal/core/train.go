@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"gendt/internal/nn"
 )
@@ -333,14 +332,16 @@ type TrainOpts struct {
 // Train fits the model on the prepared sequences for Cfg.Epochs passes.
 // Progress can be observed via the optional logf (may be nil).
 //
-// With Cfg.Workers <= 1 this is the original serial per-window SGD loop,
-// bit-for-bit. With Workers = N, each shuffled epoch is processed in
-// mini-batches of N windows: N worker replicas (deep clones with
-// deterministically derived RNG seeds) run forward/backward concurrently,
-// their gradients are averaged into the primary model in worker order, one
-// optimizer step applies the update, and the new weights are broadcast
-// back to the replicas. The result is deterministic for a fixed Seed and
-// N regardless of scheduling; see DESIGN.md, "Parallel training engine".
+// Each shuffled epoch is processed in mini-batches, one window per worker:
+// every worker runs its window's forward/backward passes, their gradients
+// are averaged into the model in worker order, one optimizer step per
+// network applies the update, and the new weights are broadcast back to
+// the workers. With Cfg.Workers <= 1 the model is its own only worker, and
+// the loop is the original serial per-window SGD, bit-for-bit. With
+// Workers = N the workers are N deep clones with deterministically derived
+// RNG seeds, run concurrently. The result is deterministic for a fixed
+// Seed and N regardless of scheduling; see DESIGN.md, "Parallel training
+// engine".
 func (m *Model) Train(seqs []*Sequence, logf func(format string, args ...any)) TrainResult {
 	res, _ := m.TrainWithOptions(seqs, TrainOpts{Logf: logf})
 	return res
@@ -349,324 +350,113 @@ func (m *Model) Train(seqs []*Sequence, logf func(format string, args ...any)) T
 // TrainWithOptions is Train with checkpoint hooks and resume; see
 // TrainOpts. The error is non-nil only when a resume state is incompatible
 // or an AfterEpoch hook fails with something other than ErrStopTraining.
+// A rejected resume leaves the model untouched.
+//
+// Semantically the worker count is a batch-size change, not a model
+// change: a worker computes exactly the per-window gradient the serial loop
+// would, and averaging N of them before one Adam step is gradient
+// accumulation over a mini-batch of N. Gradient clipping consequently
+// applies once to the averaged mini-batch gradient rather than per window.
 func (m *Model) TrainWithOptions(seqs []*Sequence, opts TrainOpts) (TrainResult, error) {
-	if opts.Resume != nil {
-		if err := m.restoreTrainState(opts.Resume); err != nil {
-			return TrainResult{}, err
-		}
-	}
-	if m.Cfg.Workers > 1 {
-		return m.trainParallel(seqs, opts)
-	}
-	return m.trainSerial(seqs, opts)
-}
-
-func (m *Model) trainSerial(seqs []*Sequence, opts TrainOpts) (TrainResult, error) {
 	cfg := m.Cfg
-	nch := len(cfg.Channels)
 	wins := m.windows(seqs)
-	if len(wins) == 0 {
-		return TrainResult{}, nil
-	}
-	start := 0
-	if opts.Resume != nil {
-		if n := len(opts.Resume.WorkerRNGs); n > 0 {
-			return TrainResult{}, fmt.Errorf("core: resume: checkpoint was taken with %d workers; set Workers accordingly", n)
-		}
-		start = opts.Resume.Epoch
-	}
-	m.SetNoise(true)
-	if m.res != nil {
-		m.res.Dropout.Active = true
-	}
-	var res TrainResult
-	res.Windows = len(wins)
-	if opts.Resume != nil {
-		res.FinalMSE, res.FinalDLoss = opts.Resume.FinalMSE, opts.Resume.FinalDLoss
+	nclones := 0
+	if cfg.Workers > 1 {
+		nclones = min(cfg.Workers, len(wins))
 	}
 	order := make([]int, len(wins))
 	for i := range order {
 		order[i] = i
 	}
-	if opts.Resume != nil {
-		if err := restoreWindowOrder(order, opts.Resume); err != nil {
-			return res, err
+	res := TrainResult{Windows: len(wins)}
+	start := 0
+	if ts := opts.Resume; ts != nil {
+		if err := m.restoreTrainState(ts, order, nclones); err != nil {
+			return TrainResult{}, err
 		}
+		start = ts.Epoch
+		res.FinalMSE, res.FinalDLoss = ts.FinalMSE, ts.FinalDLoss
 	}
-	for epoch := start; epoch < cfg.Epochs; epoch++ {
-		m.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var mseSum, dSum float64
-		for _, wi := range order {
-			w := wins[wi]
-			L := cfg.BatchLen
-			real := w.seq.KPIs
-			fc := m.forward(w.seq, w.lo, L, real)
-
-			// --- Discriminator update (skipped under NoGANLoss). ---
-			if !cfg.NoGANLoss {
-				logitReal := m.discriminate(realWindow(real, w.lo, L), fc.hAvg)
-				lossR, gR := nn.BCEWithLogitsLoss(logitReal, 1)
-				m.discBackward(gR, L, nch)
-				logitFake := m.discriminate(fc.out, fc.hAvg)
-				lossF, gF := nn.BCEWithLogitsLoss(logitFake, 0)
-				m.discBackward(gF, L, nch)
-				nn.ClipGrads(m.discParams(), cfg.ClipNorm)
-				m.discOpt.Step(m.discParams())
-				dSum += lossR + lossF
-			}
-
-			// --- Generator update: L = L_M + λ L_JS. ---
-			dOut := make([][]float64, L)
-			mse := 0.0
-			for t := 0; t < L; t++ {
-				lossT, gT := nn.MSELoss(fc.out[t], real[w.lo+t])
-				mse += lossT
-				// Scale per-step MSE gradient by 1/L for a window mean.
-				for c := range gT {
-					gT[c] /= float64(L)
-				}
-				dOut[t] = gT
-			}
-			mse /= float64(L)
-			mseSum += mse
-			if !cfg.NoGANLoss {
-				// Non-saturating generator loss: maximize log R(x').
-				logitFake := m.discriminate(fc.out, fc.hAvg)
-				_, gAdv := nn.BCEWithLogitsLoss(logitFake, 1)
-				dxAdv := m.discBackward(gAdv, L, nch)
-				// The adversarial pass accumulated discriminator grads we
-				// must not apply.
-				for _, p := range m.discParams() {
-					p.ZeroGrad()
-				}
-				for t := 0; t < L; t++ {
-					for c := 0; c < nch; c++ {
-						dOut[t][c] += cfg.Lambda * dxAdv[t][c] / float64(L)
-					}
-				}
-			}
-			m.backward(fc, dOut)
-			nn.ClipGrads(m.genParams(), cfg.ClipNorm)
-			m.genOpt.Step(m.genParams())
-		}
-		res.FinalMSE = mseSum / float64(len(wins))
-		res.FinalDLoss = dSum / float64(len(wins))
-		if opts.Logf != nil {
-			opts.Logf("epoch %d/%d: mse=%.5f dloss=%.4f", epoch+1, cfg.Epochs, res.FinalMSE, res.FinalDLoss)
-		}
-		if err := m.fireAfterEpoch(opts, epoch+1, res, nil, order); err != nil {
-			if errors.Is(err, ErrStopTraining) {
-				return res, nil
-			}
-			return res, err
-		}
-	}
-	return res, nil
-}
-
-// fireAfterEpoch invokes the AfterEpoch hook (when set) with a lazy state
-// capture over the primary model, the worker replicas, and the current
-// window order.
-func (m *Model) fireAfterEpoch(opts TrainOpts, epoch int, res TrainResult, replicas []*Model, order []int) error {
-	if opts.AfterEpoch == nil {
-		return nil
-	}
-	return opts.AfterEpoch(EpochEvent{
-		Epoch:  epoch,
-		Epochs: m.Cfg.Epochs,
-		MSE:    res.FinalMSE,
-		DLoss:  res.FinalDLoss,
-		State: func() *TrainState {
-			return m.captureTrainState(epoch, res.FinalMSE, res.FinalDLoss, replicas, order)
-		},
-	})
-}
-
-// windowGrads runs one window's forward/backward passes on a worker
-// replica, leaving generator gradients accumulated (unclipped) in the
-// replica's params. Discriminator gradients are flushed into discAcc and
-// zeroed in place, because the generator's adversarial pass must zero the
-// live discriminator grads to discard them. Returns the window's mean MSE
-// and discriminator loss.
-func (m *Model) windowGrads(w window, discAcc [][]float64) (mse, dloss float64) {
-	cfg := m.Cfg
-	nch := len(cfg.Channels)
-	L := cfg.BatchLen
-	real := w.seq.KPIs
-	fc := m.forward(w.seq, w.lo, L, real)
-
-	if !cfg.NoGANLoss {
-		logitReal := m.discriminate(realWindow(real, w.lo, L), fc.hAvg)
-		lossR, gR := nn.BCEWithLogitsLoss(logitReal, 1)
-		m.discBackward(gR, L, nch)
-		logitFake := m.discriminate(fc.out, fc.hAvg)
-		lossF, gF := nn.BCEWithLogitsLoss(logitFake, 0)
-		m.discBackward(gF, L, nch)
-		for pi, p := range m.discParams() {
-			acc := discAcc[pi]
-			for j, gv := range p.G {
-				acc[j] += gv
-			}
-			p.ZeroGrad()
-		}
-		dloss = lossR + lossF
-	}
-
-	dOut := make([][]float64, L)
-	for t := 0; t < L; t++ {
-		lossT, gT := nn.MSELoss(fc.out[t], real[w.lo+t])
-		mse += lossT
-		for c := range gT {
-			gT[c] /= float64(L)
-		}
-		dOut[t] = gT
-	}
-	mse /= float64(L)
-	if !cfg.NoGANLoss {
-		logitFake := m.discriminate(fc.out, fc.hAvg)
-		_, gAdv := nn.BCEWithLogitsLoss(logitFake, 1)
-		dxAdv := m.discBackward(gAdv, L, nch)
-		for _, p := range m.discParams() {
-			p.ZeroGrad()
-		}
-		for t := 0; t < L; t++ {
-			for c := 0; c < nch; c++ {
-				dOut[t][c] += cfg.Lambda * dxAdv[t][c] / float64(L)
-			}
-		}
-	}
-	m.backward(fc, dOut)
-	return mse, dloss
-}
-
-// trainParallel is the data-parallel training engine: worker replicas,
-// deterministic gradient reduction, a single optimizer step per mini-batch
-// of W windows, and weight re-broadcast.
-//
-// Semantically this is a batch-size change, not a model change: the
-// replicas compute exactly the per-window gradients the serial loop would,
-// and averaging W of them before one Adam step is gradient accumulation
-// over a mini-batch of W. Gradient clipping consequently applies once to
-// the averaged mini-batch gradient rather than per window.
-func (m *Model) trainParallel(seqs []*Sequence, opts TrainOpts) (TrainResult, error) {
-	cfg := m.Cfg
-	wins := m.windows(seqs)
 	if len(wins) == 0 {
 		return TrainResult{}, nil
 	}
-	W := cfg.Workers
-	if W > len(wins) {
-		W = len(wins)
-	}
-	m.SetNoise(true)
-	if m.res != nil {
-		m.res.Dropout.Active = true
-	}
-	genP := m.genParams()
-	discP := m.discParams()
 
-	// Worker replicas with deterministically derived, well-separated seeds.
-	replicas := make([]*Model, W)
-	repGen := make([][]*nn.Param, W)
-	repDisc := make([][]*nn.Param, W)
-	discAcc := make([][][]float64, W)
-	for w := 0; w < W; w++ {
-		rep := m.Clone(workerSeed(cfg.Seed, w))
-		rep.SetNoise(true)
-		if rep.res != nil {
-			rep.res.Dropout.Active = true
+	// The worker list: the model itself, or clones with well-separated
+	// seeds made after any resume restored the primary's weights. Only the
+	// clones' RNG positions are checkpoint state of their own.
+	workers, clones := []*Model{m}, []*Model(nil)
+	if nclones > 0 {
+		clones = make([]*Model, nclones)
+		for w := range clones {
+			clones[w] = m.Clone(workerSeed(cfg.Seed, w))
+			if opts.Resume != nil {
+				clones[w].rngSrc.restore(opts.Resume.WorkerRNGs[w])
+			}
 		}
-		replicas[w] = rep
-		repGen[w] = rep.genParams()
-		repDisc[w] = rep.discParams()
+		workers = clones
+	}
+	for _, wm := range workers {
+		wm.SetNoise(true)
+		if wm.res != nil {
+			wm.res.Dropout.Active = true
+		}
+	}
+	genP, discP := m.genParams(), m.discParams()
+	// A clone flushes its discriminator gradients to its own accumulator;
+	// the primary as its own worker (nil accumulator) steps them in place.
+	repGen := make([][]*nn.Param, len(clones))
+	repDisc := make([][]*nn.Param, len(clones))
+	discAcc := make([][][]float64, len(workers))
+	for w, rep := range clones {
+		repGen[w], repDisc[w] = rep.genParams(), rep.discParams()
 		discAcc[w] = make([][]float64, len(discP))
 		for pi, p := range discP {
 			discAcc[w][pi] = make([]float64, len(p.G))
 		}
 	}
 
-	// Resuming mid-run: the primary state (weights, moments, RNG) was
-	// restored by TrainWithOptions before the replicas were cloned above,
-	// so the replicas start from the checkpointed weights; their RNG
-	// streams are repositioned here.
-	start := 0
-	if opts.Resume != nil {
-		if got := len(opts.Resume.WorkerRNGs); got != W {
-			return TrainResult{}, fmt.Errorf("core: resume: checkpoint has %d worker RNG streams, this run has %d workers", got, W)
-		}
-		for w, st := range opts.Resume.WorkerRNGs {
-			replicas[w].rngSrc.restore(st)
-		}
-		start = opts.Resume.Epoch
-	}
-
-	var res TrainResult
-	res.Windows = len(wins)
-	if opts.Resume != nil {
-		res.FinalMSE, res.FinalDLoss = opts.Resume.FinalMSE, opts.Resume.FinalDLoss
-	}
-	order := make([]int, len(wins))
-	for i := range order {
-		order[i] = i
-	}
-	if opts.Resume != nil {
-		if err := restoreWindowOrder(order, opts.Resume); err != nil {
-			return res, err
-		}
-	}
-	mses := make([]float64, W)
-	dlosses := make([]float64, W)
+	mses := make([]float64, len(workers))
+	dlosses := make([]float64, len(workers))
 	for epoch := start; epoch < cfg.Epochs; epoch++ {
 		m.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var mseSum, dSum float64
-		for g0 := 0; g0 < len(order); g0 += W {
-			gN := len(order) - g0
-			if gN > W {
-				gN = W
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < gN; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					mses[w], dlosses[w] = replicas[w].windowGrads(wins[order[g0+w]], discAcc[w])
-				}(w)
-			}
-			wg.Wait()
-
-			// Deterministic reduction in worker order: average the worker
-			// gradients into the primary model's params.
-			inv := 1.0 / float64(gN)
+		for g0 := 0; g0 < len(order); g0 += len(workers) {
+			gN := min(len(workers), len(order)-g0)
+			parallelFor(gN, gN, func(w int) {
+				mses[w], dlosses[w] = workers[w].windowGrads(wins[order[g0+w]], discAcc[w])
+			})
 			for w := 0; w < gN; w++ {
 				mseSum += mses[w]
 				dSum += dlosses[w]
-				for pi, p := range repGen[w] {
-					dst := genP[pi].G
-					for j, gv := range p.G {
-						dst[j] += gv * inv
+			}
+			if clones != nil {
+				// Deterministic reduction in worker order: average the
+				// clones' gradients into the primary's.
+				inv := 1.0 / float64(gN)
+				for w := 0; w < gN; w++ {
+					for pi, p := range repGen[w] {
+						dst := genP[pi].G
+						for j, gv := range p.G {
+							dst[j] += gv * inv
+						}
+						p.ZeroGrad()
 					}
-					p.ZeroGrad()
-				}
-				if !cfg.NoGANLoss {
-					for pi := range repDisc[w] {
+					for pi, acc := range discAcc[w] {
 						dst := discP[pi].G
-						acc := discAcc[w][pi]
 						for j, gv := range acc {
 							dst[j] += gv * inv
 							acc[j] = 0
 						}
 					}
 				}
-			}
-			if !cfg.NoGANLoss {
-				nn.ClipGrads(discP, cfg.ClipNorm)
-				m.discOpt.Step(discP)
+				if !cfg.NoGANLoss {
+					nn.ClipGrads(discP, cfg.ClipNorm)
+					m.discOpt.Step(discP)
+				}
 			}
 			nn.ClipGrads(genP, cfg.ClipNorm)
 			m.genOpt.Step(genP)
-
-			// Broadcast the updated weights back to every replica.
-			for w := 0; w < W; w++ {
+			for w := range clones {
 				for pi, p := range repGen[w] {
 					copy(p.W, genP[pi].W)
 				}
@@ -680,7 +470,7 @@ func (m *Model) trainParallel(seqs []*Sequence, opts TrainOpts) (TrainResult, er
 		if opts.Logf != nil {
 			opts.Logf("epoch %d/%d: mse=%.5f dloss=%.4f", epoch+1, cfg.Epochs, res.FinalMSE, res.FinalDLoss)
 		}
-		if err := m.fireAfterEpoch(opts, epoch+1, res, replicas, order); err != nil {
+		if err := m.fireAfterEpoch(opts, epoch+1, res, clones, order); err != nil {
 			if errors.Is(err, ErrStopTraining) {
 				return res, nil
 			}
@@ -688,6 +478,95 @@ func (m *Model) trainParallel(seqs []*Sequence, opts TrainOpts) (TrainResult, er
 		}
 	}
 	return res, nil
+}
+
+// fireAfterEpoch invokes the AfterEpoch hook (when set) with a lazy state
+// capture over the primary model, the cloned workers, and the current
+// window order.
+func (m *Model) fireAfterEpoch(opts TrainOpts, epoch int, res TrainResult, clones []*Model, order []int) error {
+	if opts.AfterEpoch == nil {
+		return nil
+	}
+	return opts.AfterEpoch(EpochEvent{
+		Epoch:  epoch,
+		Epochs: m.Cfg.Epochs,
+		MSE:    res.FinalMSE,
+		DLoss:  res.FinalDLoss,
+		State: func() *TrainState {
+			return m.captureTrainState(epoch, res.FinalMSE, res.FinalDLoss, clones, order)
+		},
+	})
+}
+
+// windowGrads runs one window's forward/backward passes on a worker,
+// leaving generator gradients accumulated (unclipped) in its params.
+// Returns the window's mean MSE and discriminator loss.
+//
+// The generator's adversarial pass reads the discriminator and must zero
+// the live discriminator grads to discard its own, so the discriminator
+// update's grads are settled first. A clone flushes them into discAcc for
+// the mini-batch reduction. With a nil discAcc the model is its own only
+// worker and clips and steps its discriminator right here — the serial
+// loop's discriminator-first order, in which the adversarial pass already
+// sees this window's discriminator update.
+func (m *Model) windowGrads(w window, discAcc [][]float64) (mse, dloss float64) {
+	cfg := m.Cfg
+	nch := len(cfg.Channels)
+	L := cfg.BatchLen
+	real := w.seq.KPIs
+	fc := m.forward(w.seq, w.lo, L, real)
+	discP := m.discParams()
+
+	if !cfg.NoGANLoss {
+		logitReal := m.discriminate(realWindow(real, w.lo, L), fc.hAvg)
+		lossR, gR := nn.BCEWithLogitsLoss(logitReal, 1)
+		m.discBackward(gR, L, nch)
+		logitFake := m.discriminate(fc.out, fc.hAvg)
+		lossF, gF := nn.BCEWithLogitsLoss(logitFake, 0)
+		m.discBackward(gF, L, nch)
+		if discAcc == nil {
+			nn.ClipGrads(discP, cfg.ClipNorm)
+			m.discOpt.Step(discP)
+		} else {
+			for pi, p := range discP {
+				acc := discAcc[pi]
+				for j, gv := range p.G {
+					acc[j] += gv
+				}
+				p.ZeroGrad()
+			}
+		}
+		dloss = lossR + lossF
+	}
+
+	// Generator loss L = L_M + λ L_JS; the per-step MSE gradient is scaled
+	// by 1/L for a window mean.
+	dOut := make([][]float64, L)
+	for t := 0; t < L; t++ {
+		lossT, gT := nn.MSELoss(fc.out[t], real[w.lo+t])
+		mse += lossT
+		for c := range gT {
+			gT[c] /= float64(L)
+		}
+		dOut[t] = gT
+	}
+	mse /= float64(L)
+	if !cfg.NoGANLoss {
+		// Non-saturating generator loss: maximize log R(x').
+		logitFake := m.discriminate(fc.out, fc.hAvg)
+		_, gAdv := nn.BCEWithLogitsLoss(logitFake, 1)
+		dxAdv := m.discBackward(gAdv, L, nch)
+		for _, p := range discP {
+			p.ZeroGrad()
+		}
+		for t := 0; t < L; t++ {
+			for c := 0; c < nch; c++ {
+				dOut[t][c] += cfg.Lambda * dxAdv[t][c] / float64(L)
+			}
+		}
+	}
+	m.backward(fc, dOut)
+	return mse, dloss
 }
 
 func realWindow(series [][]float64, lo, L int) [][]float64 {

@@ -62,10 +62,10 @@ type TrainState struct {
 const trainStateVersion = 1
 
 // captureTrainState deep-copies the model's resumable training state at an
-// epoch boundary. replicas carries the data-parallel worker models (nil
-// for serial training); only their RNG positions are recorded — their
+// epoch boundary. clones carries the cloned workers (nil when the model is
+// its own only worker); only their RNG positions are recorded — their
 // weights are broadcast copies of the primary's.
-func (m *Model) captureTrainState(epoch int, mse, dloss float64, replicas []*Model, order []int) *TrainState {
+func (m *Model) captureTrainState(epoch int, mse, dloss float64, clones []*Model, order []int) *TrainState {
 	cfg := m.Cfg
 	ts := &TrainState{
 		Kind:     TrainStateKind,
@@ -89,29 +89,11 @@ func (m *Model) captureTrainState(epoch int, mse, dloss float64, replicas []*Mod
 		ts.AdamM = append(ts.AdamM, append([]float64(nil), p.M...))
 		ts.AdamV = append(ts.AdamV, append([]float64(nil), p.V...))
 	}
-	for _, rep := range replicas {
+	for _, rep := range clones {
 		ts.WorkerRNGs = append(ts.WorkerRNGs, rep.rngSrc.state())
 	}
 	ts.WindowOrder = append([]int(nil), order...)
 	return ts
-}
-
-// restoreWindowOrder validates the checkpointed permutation against this
-// run's window count and copies it into order.
-func restoreWindowOrder(order []int, ts *TrainState) error {
-	if len(ts.WindowOrder) != len(order) {
-		return fmt.Errorf("core: resume: checkpoint has %d training windows, this run has %d: different training set",
-			len(ts.WindowOrder), len(order))
-	}
-	seen := make([]bool, len(order))
-	for _, v := range ts.WindowOrder {
-		if v < 0 || v >= len(order) || seen[v] {
-			return fmt.Errorf("core: resume: window order is not a permutation")
-		}
-		seen[v] = true
-	}
-	copy(order, ts.WindowOrder)
-	return nil
 }
 
 // ModelConfig reconstructs the full training Config the checkpoint was
@@ -172,41 +154,47 @@ func NewModelFromTrainState(ts *TrainState) (*Model, error) {
 		return nil, fmt.Errorf("core: train state: no channels")
 	}
 	m := NewModel(cfg)
-	params := m.allParams()
-	if len(params) != len(ts.Params) {
-		return nil, fmt.Errorf("core: train state: parameter count mismatch (%d vs %d)",
-			len(params), len(ts.Params))
+	if err := m.checkParams(ts.Params); err != nil {
+		return nil, fmt.Errorf("core: train state: %w", err)
 	}
-	for i, p := range params {
-		if len(p.W) != len(ts.Params[i]) {
-			return nil, fmt.Errorf("core: train state: parameter %d size mismatch (%d vs %d)",
-				i, len(p.W), len(ts.Params[i]))
-		}
+	for i, p := range m.allParams() {
 		copy(p.W, ts.Params[i])
 	}
 	return m, nil
 }
 
 // restoreTrainState loads a checkpoint into m for training continuation:
-// weights, Adam moments and step counters, zeroed gradients, and the
-// primary RNG stream position. Worker RNG streams are restored by the
-// parallel trainer once its replicas exist.
-func (m *Model) restoreTrainState(ts *TrainState) error {
+// weights, Adam moments and step counters, zeroed gradients, the primary
+// RNG stream position, and the window permutation into order. It first
+// checks that ts fits this run — the architecture, nclones cloned workers
+// (0 when the model is its own only worker) and len(order) training
+// windows — so a rejected checkpoint leaves m and order untouched. The
+// clones' RNG streams are restored by the trainer once the clones exist.
+func (m *Model) restoreTrainState(ts *TrainState, order []int, nclones int) error {
 	if err := ts.validate(); err != nil {
 		return err
 	}
-	params := m.allParams()
-	if len(params) != len(ts.Params) {
-		return fmt.Errorf("core: resume: parameter count mismatch (%d vs %d): checkpoint is for a different architecture",
-			len(params), len(ts.Params))
+	if err := m.checkParams(ts.Params); err != nil {
+		return fmt.Errorf("core: resume: %w: checkpoint is for a different architecture", err)
 	}
-	for i, p := range params {
-		if len(p.W) != len(ts.Params[i]) {
-			return fmt.Errorf("core: resume: parameter %d size mismatch (%d vs %d): checkpoint is for a different architecture",
-				i, len(p.W), len(ts.Params[i]))
+	if got := len(ts.WorkerRNGs); got != nclones {
+		return fmt.Errorf("core: resume: checkpoint has %d worker RNG streams, this run has %d (Workers = %d); resume with the checkpoint's Workers",
+			got, nclones, m.Cfg.Workers)
+	}
+	if len(ts.WindowOrder) != len(order) {
+		return fmt.Errorf("core: resume: checkpoint has %d training windows, this run has %d: different training set",
+			len(ts.WindowOrder), len(order))
+	}
+	seen := make([]bool, len(order))
+	for _, v := range ts.WindowOrder {
+		if v < 0 || v >= len(order) || seen[v] {
+			return fmt.Errorf("core: resume: window order is not a permutation")
 		}
+		seen[v] = true
 	}
-	for i, p := range params {
+
+	copy(order, ts.WindowOrder)
+	for i, p := range m.allParams() {
 		copy(p.W, ts.Params[i])
 		copy(p.M, ts.AdamM[i])
 		copy(p.V, ts.AdamV[i])
