@@ -387,7 +387,14 @@ func GenerateCorridor(start geo.Point, bearing float64, lengthKm, spacingM float
 // devices behind it see heavily attenuated signal, which is what makes
 // serving cells churn along a trajectory (paper Figure 2).
 func SectorGainDB(c *Cell, loc geo.Point) float64 {
-	brg := geo.Bearing(c.Site, loc)
+	return SectorGainFromBearing(c, geo.Bearing(c.Site, loc))
+}
+
+// SectorGainFromBearing is SectorGainDB given brg = geo.Bearing(c.Site,
+// loc), the bearing from the cell's site to the device. The sectors of a
+// site share Site, so a caller scoring all of them toward one point
+// computes the bearing once and gets SectorGainDB's result bit for bit.
+func SectorGainFromBearing(c *Cell, brg float64) float64 {
 	diff := math.Mod(brg-c.Azimuth+540, 360) - 180 // [-180, 180)
 	theta3db := c.BeamWidth / 2
 	att := 12 * (diff / theta3db) * (diff / theta3db)

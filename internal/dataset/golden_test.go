@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"os"
+	"runtime"
 	"testing"
 )
 
@@ -67,6 +68,32 @@ func TestScenarioGoldenBitIdentity(t *testing.T) {
 	long := &Dataset{Name: "Long", World: b.World, Runs: []Run{LongComplexRun(b, spec)}}
 	if got := long.Fingerprint(); got != goldenFingerprintLong {
 		t.Errorf("LongComplexRun(B): fingerprint %#x, committed golden %#x", got, uint64(goldenFingerprintLong))
+	}
+}
+
+// TestBuildIndependentOfProcs pins the concurrent drive-test fan-out: a
+// world built on one core, on two, or on more goroutines than the machine
+// has, is the same world bit for bit — and A's is the benchmark's golden.
+func TestBuildIndependentOfProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, name := range []string{"A", "NR5G"} {
+		var first uint64
+		for i, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			d, err := NewByName(name, Spec{Seed: 1, Scale: 0.05})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := d.Fingerprint()
+			if i == 0 {
+				first = got
+			} else if got != first {
+				t.Errorf("%s at GOMAXPROCS=%d: fingerprint %#x, %#x at 1", name, procs, got, first)
+			}
+			if name == "A" && got != goldenFingerprintABench {
+				t.Errorf("A at GOMAXPROCS=%d: fingerprint %#x, committed golden %#x", procs, got, uint64(goldenFingerprintABench))
+			}
+		}
 	}
 }
 

@@ -65,14 +65,10 @@ func Collect(w *sim.World, center geo.Point, spec Spec) []dataset.Run {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	var runs []dataset.Run
 	for u := 0; u < spec.Users; u++ {
-		// Session start biased toward the core (rejection sampling).
-		var start geo.Point
-		for {
-			brg := rng.Float64() * 360
-			dist := math.Abs(rng.NormFloat64()) * spec.CoreBiasM
-			start = geo.Offset(center, brg, dist)
-			break
-		}
+		// Session start biased toward the core: a uniform bearing and a
+		// half-normal distance of scale CoreBiasM from the centre.
+		brg := rng.Float64() * 360
+		start := geo.Offset(center, brg, math.Abs(rng.NormFloat64())*spec.CoreBiasM)
 		profile := geo.WalkProfile
 		if rng.Float64() < 0.4 {
 			profile = geo.CityDriveProfile

@@ -123,3 +123,27 @@ func TestTrimTo(t *testing.T) {
 		t.Errorf("over-trim kept %d of %d", got, total)
 	}
 }
+
+// TestCollectDeterministic pins every byte of two campaigns — routes,
+// reports, re-annotated context — to hashes captured before Collect's
+// start-point draw lost its one-pass loop, so simplifying the simulator
+// layer cannot move a bit.
+func TestCollectDeterministic(t *testing.T) {
+	d, center := testWorld(t)
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		want uint64
+	}{
+		{"mdt", DefaultMDT(11), 0x08875bd187eb2629},
+		{"crowd", DefaultCrowdsourcing(12), 0x9a3f2abc5b8a02f6},
+	} {
+		tc.spec.Users = 6
+		tc.spec.SessionS = 90
+		runs := Collect(d.World, center, tc.spec)
+		got := (&dataset.Dataset{Name: tc.name, World: d.World, Runs: runs}).Fingerprint()
+		if got != tc.want {
+			t.Errorf("%s: fingerprint %#x, pinned %#x", tc.name, got, tc.want)
+		}
+	}
+}

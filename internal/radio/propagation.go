@@ -96,6 +96,19 @@ type ShadowField struct {
 
 	state map[int]*shadowState
 	rng   *rand.Rand
+	decay shadowDecay // the last step's decay factors
+}
+
+// shadowDecay memoises the Gauss–Markov factors of one step from a to b.
+// Every cell seen at a is sampled at b in turn, and the factors are a pure
+// function of (a, b, DecorrM), so all but the first reuse them bit for
+// bit. A cell back in view after a gap still moved from its own last
+// point, which misses the memo and is computed afresh.
+type shadowDecay struct {
+	a, b       geo.Point
+	decorrM    float64
+	rho, innov float64 // exp(-d/DecorrM) and sqrt(1-rho²)
+	ok         bool
 }
 
 type shadowState struct {
@@ -129,9 +142,12 @@ func (f *ShadowField) Sample(cellID int, loc geo.Point) float64 {
 		st.init = true
 		return st.value
 	}
-	d := geo.Distance(st.last, loc)
-	rho := math.Exp(-d / f.DecorrM)
-	st.value = rho*st.value + f.SigmaDB*math.Sqrt(1-rho*rho)*f.rng.NormFloat64()
+	m := &f.decay
+	if !m.ok || m.a != st.last || m.b != loc || m.decorrM != f.DecorrM {
+		rho := math.Exp(-geo.Distance(st.last, loc) / f.DecorrM)
+		*m = shadowDecay{a: st.last, b: loc, decorrM: f.DecorrM, rho: rho, innov: math.Sqrt(1 - rho*rho), ok: true}
+	}
+	st.value = m.rho*st.value + f.SigmaDB*m.innov*f.rng.NormFloat64()
 	st.last = loc
 	return st.value
 }
@@ -174,11 +190,12 @@ func (lp *LoadProcess) Step(cellID int) float64 {
 }
 
 // RxPowerDBm computes the received reference-signal power from a cell at a
-// device location given pathloss, antenna gain, shadowing, and fading terms.
-func RxPowerDBm(c *cells.Cell, loc geo.Point, dist float64, pl *PathlossModel, clutter uint8, shadowDB, fadingDB float64) float64 {
+// device dist metres from its site, at bearing brg = geo.Bearing(c.Site,
+// loc) from it, given pathloss, antenna gain, shadowing, and fading terms.
+func RxPowerDBm(c *cells.Cell, brg, dist float64, pl *PathlossModel, clutter uint8, shadowDB, fadingDB float64) float64 {
 	// Use 3D distance including antenna height.
 	d3 := math.Hypot(dist, c.Height)
-	gain := cells.SectorGainDB(c, loc)
+	gain := cells.SectorGainFromBearing(c, brg)
 	// Reference signal power: total sector power spread over 12*N_RB
 	// subcarriers; with N_RB=50 (10 MHz) RSRP per RE is PMax - 10log10(600).
 	const refShareDB = 27.78 // 10*log10(12*50)

@@ -82,6 +82,59 @@ func TestShadowFieldPerCellIndependent(t *testing.T) {
 	}
 }
 
+// TestShadowFieldMemoExact replays a step sequence through ShadowField and
+// through an unmemoised copy of the Gauss–Markov update on a twin rng: every
+// sample must match bit for bit. The sequence has cells that share each
+// step's move, a cell that leaves view and returns from its own last point,
+// two equal consecutive points (d = 0), and a DecorrM change within a step.
+func TestShadowFieldMemoExact(t *testing.T) {
+	const sigma = 6.0
+	f := NewShadowField(sigma, 50, rand.New(rand.NewSource(11)))
+	ref := rand.New(rand.NewSource(11))
+	type refState struct {
+		value float64
+		last  geo.Point
+	}
+	refs := map[int]*refState{}
+	refSample := func(id int, loc geo.Point) float64 {
+		st, ok := refs[id]
+		if !ok {
+			st = &refState{value: sigma * ref.NormFloat64(), last: loc}
+			refs[id] = st
+			return st.value
+		}
+		rho := math.Exp(-geo.Distance(st.last, loc) / f.DecorrM)
+		st.value = rho*st.value + sigma*math.Sqrt(1-rho*rho)*ref.NormFloat64()
+		st.last = loc
+		return st.value
+	}
+	p := func(m float64) geo.Point { return geo.Offset(origin, 40, m) }
+	steps := []struct {
+		loc   geo.Point
+		cells []int
+	}{
+		{p(0), []int{1, 2, 3, 4}},
+		{p(7), []int{1, 2, 3, 4}},
+		{p(19), []int{1, 2, 3}}, // 4 leaves view
+		{p(31), []int{1, 2, 3}},
+		{p(31), []int{1, 2, 3}},    // standing still: d = 0
+		{p(44), []int{1, 4, 2, 3}}, // 4 returns from p(7) between two cells that moved from p(31)
+		{p(60), []int{4, 1, 2, 3, 5}},
+		{p(75), []int{1, 2, 3, 4}},
+	}
+	for si, st := range steps {
+		for ci, id := range st.cells {
+			if si == len(steps)-1 && ci == 2 {
+				f.DecorrM = 20 // mid-step: the same move must not reuse the old factors
+			}
+			got, want := f.Sample(id, st.loc), refSample(id, st.loc)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d cell %d: memoised %v, reference %v", si, id, got, want)
+			}
+		}
+	}
+}
+
 func TestLoadProcessBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	lp := NewLoadProcess(0.5, 0.95, 0.3, rng)
@@ -100,8 +153,8 @@ func TestRxPowerDecreasesWithDistance(t *testing.T) {
 	c := &cells.Cell{ID: 1, Site: origin, PMaxDBm: 43, Azimuth: 0, BeamWidth: 120, Height: 25}
 	near := geo.Offset(origin, 0, 200)
 	far := geo.Offset(origin, 0, 3000)
-	pNear := RxPowerDBm(c, near, 200, pl, env.LUMediumDenseUrban, 0, 0)
-	pFar := RxPowerDBm(c, far, 3000, pl, env.LUMediumDenseUrban, 0, 0)
+	pNear := RxPowerDBm(c, geo.Bearing(c.Site, near), 200, pl, env.LUMediumDenseUrban, 0, 0)
+	pFar := RxPowerDBm(c, geo.Bearing(c.Site, far), 3000, pl, env.LUMediumDenseUrban, 0, 0)
 	if pNear <= pFar {
 		t.Errorf("rx power near %v <= far %v", pNear, pFar)
 	}

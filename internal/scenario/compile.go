@@ -29,7 +29,8 @@ type BuiltRun struct {
 // seed+SeedOffset consumed by the layouts in declaration order, one route
 // rng per run at seed+RouteSeedBase+runIndex, and one measurement rng per
 // run at seed+DriveSeedBase+runIndex — so runs are independent of each
-// other and of layout count. The order of operations below (which
+// other and of layout count, which is what lets their drive tests run
+// concurrently without moving a bit. The order of operations below (which
 // geo.Offset calls are made, multiply-then-add) is part of that contract:
 // the fingerprints of scenarios/dataset-a.toml and dataset-b.toml are
 // committed constants in internal/dataset/golden_test.go, and every golden
@@ -99,8 +100,11 @@ func Build(sc *Scenario, seed int64, scale float64) (*sim.World, []BuiltRun, err
 		w.Pathloss = sc.Pathloss.model()
 	}
 
-	// Measurement runs.
+	// Measurement runs: every route is built here, in run order, and the
+	// drive tests are then simulated together (see sim.World.DriveTests).
 	var runs []BuiltRun
+	var trs []geo.Trajectory
+	var seeds []int64
 	for mi := range sc.Measures {
 		m := &sc.Measures[mi]
 		for ri := 0; ri < m.Runs; ri++ {
@@ -146,9 +150,13 @@ func Build(sc *Scenario, seed int64, scale float64) (*sim.World, []BuiltRun, err
 				Profile: prof, TurnEvery: m.TurnEveryS,
 				TurnJitter: m.TurnJitterDeg, GridSnap: m.GridSnap,
 			}, routeRng)
-			ms := w.DriveTest(tr, rand.New(rand.NewSource(seed+m.DriveSeedBase+int64(ri))))
-			runs = append(runs, BuiltRun{Scenario: m.Name, Train: train, Traj: tr, Meas: ms})
+			runs = append(runs, BuiltRun{Scenario: m.Name, Train: train, Traj: tr})
+			trs = append(trs, tr)
+			seeds = append(seeds, seed+m.DriveSeedBase+int64(ri))
 		}
+	}
+	for i, ms := range w.DriveTests(trs, seeds) {
+		runs[i].Meas = ms
 	}
 	return w, runs, nil
 }

@@ -8,6 +8,9 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"gendt/internal/cells"
 	"gendt/internal/env"
@@ -155,9 +158,16 @@ func (w *World) DriveTest(tr geo.Trajectory, rng *rand.Rand) []Measurement {
 		clutter := w.Env.LandUseAt(s.Point)
 		vis := w.Deployment.Visible(s.Point, w.VisibleRange)
 		links := make([]radio.Link, 0, len(vis))
-		for _, v := range vis {
+		// The sectors of a site share Site and Distance, so Visible lists
+		// them side by side: one bearing serves them all.
+		var site geo.Point
+		var brg float64
+		for i, v := range vis {
+			if i == 0 || v.Cell.Site != site {
+				site, brg = v.Cell.Site, geo.Bearing(v.Cell.Site, s.Point)
+			}
 			sh := static.Sample(v.Cell.ID, s.Point) + shadow.Sample(v.Cell.ID, s.Point)
-			p := radio.RxPowerDBm(v.Cell, s.Point, v.Distance, w.Pathloss, clutter,
+			p := radio.RxPowerDBm(v.Cell, brg, v.Distance, w.Pathloss, clutter,
 				sh, radio.FastFading(w.FadingSigmaDB, rng))
 			if prev, ok := l3[v.Cell.ID]; ok {
 				p = alpha*p + (1-alpha)*prev
@@ -198,15 +208,41 @@ func (w *World) DriveTest(tr geo.Trajectory, rng *rand.Rand) []Measurement {
 	return out
 }
 
+// DriveTests simulates one run per trajectory: out[i] is exactly
+// DriveTest(trs[i], rand.New(rand.NewSource(seeds[i]))). A run reads the
+// world and nothing else shared, and draws only from its own rng, so the
+// runs are spread over up to GOMAXPROCS goroutines and placed by index —
+// the result is the same bits at any width.
+func (w *World) DriveTests(trs []geo.Trajectory, seeds []int64) [][]Measurement {
+	if len(trs) != len(seeds) {
+		panic("sim: DriveTests needs one seed per trajectory")
+	}
+	out := make([][]Measurement, len(trs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(trs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(trs); i = int(next.Add(1)) - 1 {
+				out[i] = w.DriveTest(trs[i], rand.New(rand.NewSource(seeds[i])))
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
 // RepeatedRuns performs n independent measurement runs over the same
 // trajectory (the setup behind the paper's Figures 1–2), using sequential
 // seeds derived from base.
 func (w *World) RepeatedRuns(tr geo.Trajectory, n int, base int64) [][]Measurement {
-	out := make([][]Measurement, n)
-	for i := 0; i < n; i++ {
-		out[i] = w.DriveTest(tr, rand.New(rand.NewSource(base+int64(i))))
+	trs := make([]geo.Trajectory, n)
+	seeds := make([]int64, n)
+	for i := range n {
+		trs[i], seeds[i] = tr, base+int64(i)
 	}
-	return out
+	return w.DriveTests(trs, seeds)
 }
 
 // Annotate builds context-only measurements for a trajectory: visible

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gendt/internal/cells"
@@ -115,6 +116,55 @@ func TestRepeatedRunsDiffer(t *testing.T) {
 	mb, _ := meanStd(b)
 	if math.Abs(ma-mb) > 6 {
 		t.Errorf("repeated run means differ by %v dB, too much", math.Abs(ma-mb))
+	}
+}
+
+// measurementBits flattens a run into the exact bits of every field, so two
+// runs compare equal only if they are bit-identical.
+func measurementBits(ms []Measurement) []uint64 {
+	var out []uint64
+	f := func(vs ...float64) {
+		for _, v := range vs {
+			out = append(out, math.Float64bits(v))
+		}
+	}
+	for _, m := range ms {
+		f(m.T, m.Loc.Lat, m.Loc.Lon, m.RSRP, m.RSRQ, m.SINR, m.CQI, m.RSSI)
+		handover := uint64(0)
+		if m.Handover {
+			handover = 1
+		}
+		out = append(out, uint64(m.ServingCell), handover, uint64(len(m.Visible)))
+		for _, v := range m.Visible {
+			out = append(out, uint64(v.Cell.ID))
+			f(v.Distance)
+		}
+		out = append(out, uint64(len(m.EnvCtx)))
+		f(m.EnvCtx...)
+		out = append(out, uint64(len(m.VisibleLoad)))
+		f(m.VisibleLoad...)
+	}
+	return out
+}
+
+// TestRepeatedRunsMatchDriveTest pins the concurrent fan-out to the serial
+// definition: run i of RepeatedRuns is DriveTest with seed base+i, bit for
+// bit, whatever the number of runs.
+func TestRepeatedRunsMatchDriveTest(t *testing.T) {
+	w := testWorld(t)
+	tr := cityRoute(90, 8)
+	const base = 300
+	for _, n := range []int{0, 1, 5} {
+		runs := w.RepeatedRuns(tr, n, base)
+		if len(runs) != n {
+			t.Fatalf("n=%d: got %d runs", n, len(runs))
+		}
+		for i, run := range runs {
+			want := w.DriveTest(tr, rand.New(rand.NewSource(base+int64(i))))
+			if !slices.Equal(measurementBits(run), measurementBits(want)) {
+				t.Errorf("n=%d: run %d differs from DriveTest(seed %d)", n, i, base+i)
+			}
+		}
 	}
 }
 
