@@ -43,6 +43,12 @@ echo "=== statistical gate: healthy model must pass ==="
 "$work/gendt-validate" -model "$work/model.json" "${GATE_ARGS[@]}" \
     -golden "$GOLDEN" | tee "$work/pass.log"
 
+echo "=== statistical gate: -json stdout is one document, served check passed ==="
+# Progress and the summary go to stderr, so stdout pipes straight into jq.
+"$work/gendt-validate" -model "$work/model.json" "${GATE_ARGS[@]}" \
+    -golden "$GOLDEN" -json \
+    | jq -e '.checks[] | select(.name=="meta/seed-determinism-http") | .passed'
+
 echo "=== statistical gate: frozen f32/int8 backends must pass ==="
 # The frozen inference kernels serve the same statistical contract as the
 # live model: every distributional tolerance and metamorphic invariant

@@ -6,10 +6,12 @@
 // -model-path, and the rollout atomically replaces that file with
 // -candidate before walking the replicas. Per replica it drains it out of
 // the LB's ring, drives /admin/reload, confirms the weight fingerprint on
-// /v1/models, runs the remote statistical gate (distributional tolerances
-// from -golden plus metamorphic invariants, over the replica's live
-// /v1/generate path), readmits it, and watches an error-budget window
-// against the LB's pre-rollout /debug/vars baseline. Any failure restores
+// /v1/models, runs the statistical gate with the replica as its target
+// (the candidate's distributional tolerances from -golden and metamorphic
+// invariants in-process, then every request the gate made replayed on the
+// replica's live /v1/generate, which must answer bit-identically to the
+// candidate), readmits it, and watches an error-budget window against the
+// LB's pre-rollout /debug/vars baseline. Any failure restores
 // the previous file fleet-wide and exits non-zero; the LB's /debug/vars
 // rollout block carries the progress and, after a halt, the reason.
 //
@@ -141,9 +143,9 @@ func main() {
 			}
 		}
 		opt.Gate = func(ctx context.Context, replica string) error {
-			rep, err := validate.RunRemote(m, validate.RemoteOptions{
-				Target: replica, Model: *modelName,
-			}, gateOpts)
+			opts := gateOpts
+			opts.Target, opts.TargetModel = replica, *modelName
+			rep, err := validate.Run(m, opts)
 			if err != nil {
 				return err
 			}

@@ -1,11 +1,7 @@
 package loadgen
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"time"
 
 	"gendt/internal/serve"
@@ -125,15 +121,12 @@ func Verify(target, direct string, trace *Trace, n int, timeout time.Duration) e
 	defer client.CloseIdleConnections()
 	for r := 0; r < n; r++ {
 		seed := requestSeed(trace.spec.RNGSeed, 1_000_000+r)
-		body, err := trace.RouteRequest(r, seed)
-		if err != nil {
-			return err
-		}
-		a, err := fetchGenerate(client, target, body)
+		req := trace.RouteRequest(r, seed)
+		a, err := serve.PostGenerate(client, target, req)
 		if err != nil {
 			return fmt.Errorf("verify route %d via %s: %w", r, target, err)
 		}
-		b, err := fetchGenerate(client, direct, body)
+		b, err := serve.PostGenerate(client, direct, req)
 		if err != nil {
 			return fmt.Errorf("verify route %d via %s: %w", r, direct, err)
 		}
@@ -142,26 +135,6 @@ func Verify(target, direct string, trace *Trace, n int, timeout time.Duration) e
 		}
 	}
 	return nil
-}
-
-func fetchGenerate(client *http.Client, base string, body []byte) (*serve.GenerateResponse, error) {
-	resp, err := client.Post(base+serve.EndpointGenerate, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
-	}
-	var out serve.GenerateResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // sameGeneration compares the deterministic fields of two generate

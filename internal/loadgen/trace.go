@@ -81,11 +81,7 @@ func BuildTrace(d *dataset.Dataset, spec TraceSpec) (*Trace, error) {
 		if len(tr) < 2 {
 			continue
 		}
-		pts := make([]serve.RoutePoint, len(tr))
-		for i, p := range tr {
-			pts[i] = serve.RoutePoint{T: p.T, Lat: p.Lat, Lon: p.Lon}
-		}
-		routes = append(routes, pts)
+		routes = append(routes, serve.RouteFrom(tr))
 	}
 	return &Trace{spec: spec, routes: routes, rng: rng}, nil
 }
@@ -107,20 +103,16 @@ func (t *Trace) Request(i int) ([]byte, error) {
 	return json.Marshal(req)
 }
 
-// RouteRequest returns a request pinned to route r with an explicit seed —
-// the bit-identity verification path, where the same (route, seed) must
-// reproduce exactly through any serving topology.
-func (t *Trace) RouteRequest(r int, seed int64) ([]byte, error) {
-	if r < 0 || r >= len(t.routes) {
-		return nil, fmt.Errorf("loadgen: route %d out of range [0,%d)", r, len(t.routes))
-	}
-	req := serve.GenerateRequest{
+// RouteRequest returns the request pinned to route r (0 <= r < Routes())
+// with an explicit seed — the bit-identity verification path, where the
+// same (route, seed) must reproduce exactly through any serving topology.
+func (t *Trace) RouteRequest(r int, seed int64) serve.GenerateRequest {
+	return serve.GenerateRequest{
 		Model:   t.spec.Model,
 		Seed:    seed,
 		Samples: t.spec.Samples,
 		Route:   t.routes[r],
 	}
-	return json.Marshal(req)
 }
 
 // requestSeed derives the i-th request seed from the trace seed with a

@@ -100,13 +100,7 @@ func newServer(t *testing.T, opt Options) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func routePoints() []RoutePoint {
-	out := make([]RoutePoint, len(fix.route))
-	for i, p := range fix.route {
-		out[i] = RoutePoint{T: p.T, Lat: p.Lat, Lon: p.Lon}
-	}
-	return out
-}
+func routePoints() []RoutePoint { return RouteFrom(fix.route) }
 
 func postGenerate(t *testing.T, url string, req GenerateRequest) (int, GenerateResponse, string) {
 	t.Helper()
@@ -472,6 +466,25 @@ func TestGenerateValidation(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: %d", resp2.StatusCode)
+	}
+}
+
+// TestPostGenerate: the client decodes a 200 into the same response the
+// raw POST does, and turns any other status into an error naming it.
+func TestPostGenerate(t *testing.T) {
+	_, ts := newServer(t, Options{})
+	req := GenerateRequest{Seed: 5, Samples: 2, Route: routePoints()}
+	got, err := PostGenerate(http.DefaultClient, ts.URL, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, _ := postGenerate(t, ts.URL, req)
+	if !rowsBitEqual(got.Series, want.Series) || !rowsBitEqual(got.Envelope.Mean, want.Envelope.Mean) {
+		t.Fatal("PostGenerate decoded a different answer than the raw POST")
+	}
+	req.Model = "nope"
+	if _, err := PostGenerate(http.DefaultClient, ts.URL, req); err == nil || !strings.Contains(err.Error(), "status 404") {
+		t.Fatalf("unknown model: want a status 404 error, got %v", err)
 	}
 }
 

@@ -3,8 +3,10 @@ package validate
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"gendt/internal/core"
+	"gendt/internal/dataset"
 	"gendt/internal/metrics"
 )
 
@@ -13,38 +15,22 @@ import (
 // gate generates.
 const hwdBins = 40
 
-// genFunc produces the generated series for held-out route ri, sample s,
-// as normalized per-channel columns [nch][T]. Run backs it with the
-// in-process generator; RunRemote backs it with a replica's HTTP path —
-// both draw the same seeds, so one golden file gates either source.
-type genFunc func(ri, s int) ([][]float64, error)
-
-// RequestSeed is the request seed a validation client sends for sample s
-// of held-out route ri: two DeriveSeed levels over the run seed. A serving
-// replica fans a request out as DeriveSeed(reqSeed, i), so the value it
-// generates for a samples=1 request is DeriveSeed(RequestSeed(...), 0) —
-// and the local pass draws exactly that, which is what makes the local and
-// remote distribution pools bit-comparable.
+// RequestSeed is the request seed of the distributional pass's sample s of
+// held-out route ri: two DeriveSeed levels over the run seed. A serving
+// replica fans a request out as DeriveSeed(reqSeed, i), so each sample is
+// the answer to a samples=1 /v1/generate request, which the served check
+// replays.
 func RequestSeed(seed int64, ri, s int) int64 {
 	return core.DeriveSeed(core.DeriveSeed(seed, ri), s)
 }
 
-// localGen generates sample (ri, s) from the in-process generator using
-// the serving-path sequences and the serving-path seed schedule.
-func localGen(g core.Generator, genSeqs []*core.Sequence, seed int64) genFunc {
-	nch := len(g.ModelConfig().Channels)
-	return func(ri, s int) ([][]float64, error) {
-		gen := g.GenerateSeeded(genSeqs[ri], core.DeriveSeed(RequestSeed(seed, ri, s), 0))
-		return columns(gen, nch), nil
-	}
-}
-
-// distributionChecks pulls SamplesPerRoute independent samples per
-// held-out route from gen, pools generated and ground-truth values per
-// channel, and gates the five distributional statistics against the golden
-// tolerances. All statistics are computed in normalized [0,1] units so one
-// tolerance scale covers channels with very different physical ranges.
-func distributionChecks(gen genFunc, channels []core.ChannelSpec, seqs []*core.Sequence, opts Options, rep *Report) {
+// distributionChecks generates SamplesPerRoute independent samples per
+// held-out route on the serving path, pools generated and ground-truth
+// values per channel, and gates the five distributional statistics against
+// the golden tolerances. All statistics are computed in normalized [0,1]
+// units so one tolerance scale covers channels with very different
+// physical ranges.
+func distributionChecks(sp *servingPath, channels []core.ChannelSpec, routes []dataset.Run, seqs []*core.Sequence, opts Options, rep *Report) {
 	nch := len(channels)
 	genPool := make([][]float64, nch) // generated values pooled over routes×samples
 	gtPool := make([][]float64, nch)  // ground truth pooled over routes (once each)
@@ -57,14 +43,8 @@ func distributionChecks(gen genFunc, channels []core.ChannelSpec, seqs []*core.S
 			gtPool[c] = append(gtPool[c], gtCols[c]...)
 		}
 		for s := 0; s < opts.SamplesPerRoute; s++ {
-			genCols, err := gen(ri, s)
-			if err != nil {
-				rep.add(CheckResult{
-					Name: "dist/generate", Passed: false,
-					Detail: fmt.Sprintf("route %d sample %d: %v", ri, s, err),
-				})
-				return
-			}
+			gen := sp.sample(fmt.Sprintf("route %d sample %d", ri, s), routes[ri].Traj, RequestSeed(opts.Seed, ri, s))
+			genCols := columns(gen, nch)
 			for c := 0; c < nch; c++ {
 				genPool[c] = append(genPool[c], genCols[c]...)
 				// Autocorrelation compares per route (never across route
@@ -131,12 +111,28 @@ func distributionChecks(gen genFunc, channels []core.ChannelSpec, seqs []*core.S
 		gate("autocorr", obs.Autocorr, tol.Autocorr)
 	}
 
-	if opts.Golden != nil && opts.Golden.Dataset != rep.Dataset {
-		rep.add(CheckResult{
-			Name: "dist/golden-config", Passed: false,
-			Detail: fmt.Sprintf("golden derived on dataset %q, validating dataset %q",
-				opts.Golden.Dataset, rep.Dataset),
-		})
+	if opts.Golden != nil {
+		goldenConfigCheck(opts, rep)
+	}
+}
+
+// goldenConfigCheck fails dist/golden-config when the golden was derived
+// under a dataset, route count, sample count or seed other than this
+// run's: tolerances only bound statistics computed like for like.
+func goldenConfigCheck(opts Options, rep *Report) {
+	g := opts.Golden
+	var diffs []string
+	differ := func(field string, golden, run any) {
+		if golden != run {
+			diffs = append(diffs, fmt.Sprintf("%s: golden %v, run %v", field, golden, run))
+		}
+	}
+	differ("dataset", g.Dataset, rep.Dataset)
+	differ("routes", g.Routes, opts.Routes)
+	differ("samples_per_route", g.SamplesPerRoute, opts.SamplesPerRoute)
+	differ("seed", g.Seed, opts.Seed)
+	if len(diffs) > 0 {
+		rep.add(CheckResult{Name: "dist/golden-config", Passed: false, Detail: strings.Join(diffs, "; ")})
 	}
 }
 

@@ -1,19 +1,13 @@
 package validate
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"net/http"
-	"net/http/httptest"
 
 	"gendt/internal/core"
 	"gendt/internal/dataset"
 	"gendt/internal/geo"
 	"gendt/internal/metrics"
-	"gendt/internal/serve"
 )
 
 // monotonicSlack is the fixed tolerance (normalized KPI units) the physical
@@ -30,19 +24,16 @@ const monotonicSamples = 3
 
 // metamorphicChecks runs the ground-truth-free invariants: seed
 // determinism across execution paths, permutation invariance, truncation
-// consistency, and physical monotonicity.
-func metamorphicChecks(g core.Generator, routes []dataset.Run, seqs []*core.Sequence, opts Options, rep *Report) {
+// consistency, and physical monotonicity. The truncation and RSRP-distance
+// checks generate on the serving path, so the served check replays them.
+func metamorphicChecks(sp *servingPath, routes []dataset.Run, seqs []*core.Sequence, opts Options, rep *Report) {
+	g := sp.g
 	checkSeedDeterminismSerial(g, seqs[0], opts, rep)
 	checkSeedDeterminismWorkers(g, seqs, opts, rep)
-	if opts.SkipHTTP {
-		rep.skip("meta/seed-determinism-http", "disabled (SkipHTTP)")
-	} else {
-		checkSeedDeterminismHTTP(g, routes[0].Traj, opts, rep)
-	}
 	checkPermutationInvariance(g, seqs, opts, rep)
 	checkBatchedEngineIdentity(g, seqs, opts, rep)
-	checkTruncationConsistency(g, seqs[0], opts, rep)
-	checkMonotonicRSRPDistance(g, routes[0].Traj, opts, rep)
+	checkTruncationConsistency(sp, routes[0].Traj, opts, rep)
+	checkMonotonicRSRPDistance(sp, routes[0].Traj, opts, rep)
 	checkMonotonicSINRLoad(g, seqs[0], opts, rep)
 }
 
@@ -85,79 +76,6 @@ func checkSeedDeterminismWorkers(g core.Generator, seqs []*core.Sequence, opts O
 	rep.add(CheckResult{
 		Name: "meta/seed-determinism-workers", Passed: true,
 		Detail: fmt.Sprintf("%d jobs, Workers 1 vs %d vs direct", len(jobs), opts.Workers),
-	})
-}
-
-// checkSeedDeterminismHTTP: a response from the real /v1/generate pipeline
-// (route annotation, prep cache, micro-batcher, JSON round-trip) must be
-// bit-identical to calling GenerateJobs directly with the same derived
-// seeds. Go's encoding/json emits float64s in shortest round-trip form, so
-// the comparison is exact, not approximate.
-func checkSeedDeterminismHTTP(g core.Generator, tr geo.Trajectory, opts Options, rep *Report) {
-	fail := func(detail string) {
-		rep.add(CheckResult{Name: "meta/seed-determinism-http", Passed: false, Detail: detail})
-	}
-	world := serve.NewWorldFrom(opts.Dataset)
-	srv := serve.New(serve.Options{
-		Registry: serve.NewStaticRegistry("validate", g),
-		World:    world,
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.Close()
-
-	if len(tr) > 64 {
-		tr = tr[:64] // the invariant is path-identity, not route length
-	}
-	req := serve.GenerateRequest{Seed: opts.Seed, Samples: 2}
-	for _, p := range tr {
-		req.Route = append(req.Route, serve.RoutePoint{T: p.T, Lat: p.Lat, Lon: p.Lon})
-	}
-	body, _ := json.Marshal(req)
-	httpResp, err := http.Post(ts.URL+serve.EndpointGenerate, "application/json", bytes.NewReader(body))
-	if err != nil {
-		fail("POST /v1/generate: " + err.Error())
-		return
-	}
-	defer httpResp.Body.Close()
-	raw, _ := io.ReadAll(httpResp.Body)
-	if httpResp.StatusCode != http.StatusOK {
-		fail(fmt.Sprintf("/v1/generate status %d: %s", httpResp.StatusCode, raw))
-		return
-	}
-	var resp serve.GenerateResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		fail("decode response: " + err.Error())
-		return
-	}
-
-	// Reference: the same route prepared through the same world, generated
-	// directly with the request's derived seeds.
-	seq, _ := world.Prepare(tr, g)
-	expect := g.GenerateJobs([]core.GenJob{
-		{Seq: seq, Seed: core.DeriveSeed(opts.Seed, 0)},
-		{Seq: seq, Seed: core.DeriveSeed(opts.Seed, 1)},
-	})
-	if ok, detail := seriesEqual(resp.Series, expect[0]); !ok {
-		fail("HTTP series vs direct GenerateJobs: " + detail)
-		return
-	}
-	if resp.Envelope == nil {
-		fail("response missing envelope for samples=2")
-		return
-	}
-	min, max, _ := core.Envelope(expect)
-	if ok, detail := seriesEqual(resp.Envelope.Min, min); !ok {
-		fail("HTTP envelope min vs direct: " + detail)
-		return
-	}
-	if ok, detail := seriesEqual(resp.Envelope.Max, max); !ok {
-		fail("HTTP envelope max vs direct: " + detail)
-		return
-	}
-	rep.add(CheckResult{
-		Name: "meta/seed-determinism-http", Passed: true,
-		Detail: fmt.Sprintf("%d steps, 2 samples, bit-identical through JSON", len(tr)),
 	})
 }
 
@@ -237,28 +155,26 @@ func checkBatchedEngineIdentity(g core.Generator, seqs []*core.Sequence, opts Op
 // prefix of the full route's generation bit-for-bit, provided the cut
 // falls on a batch boundary (generation runs in non-overlapping batches of
 // BatchLen; within a batch the RNG draws depend on the batch's own cell
-// visibility, so a mid-batch cut is allowed to differ).
-func checkTruncationConsistency(g core.Generator, seq *core.Sequence, opts Options, rep *Report) {
-	L := g.ModelConfig().BatchLen
-	P := (seq.Len() / 2 / L) * L
-	if P == 0 && seq.Len() > L {
+// visibility, so a mid-batch cut is allowed to differ). Both routes are
+// samples=1 requests at the run seed, prepared as a replica prepares them.
+func checkTruncationConsistency(sp *servingPath, tr geo.Trajectory, opts Options, rep *Report) {
+	const name = "meta/truncation-consistency"
+	L := sp.g.ModelConfig().BatchLen
+	P := (len(tr) / 2 / L) * L
+	if P == 0 && len(tr) > L {
 		P = L
 	}
-	if P == 0 {
-		rep.skip("meta/truncation-consistency", fmt.Sprintf("route too short (%d steps, batch %d)", seq.Len(), L))
+	if P < 2 { // a served route needs two points
+		rep.skip(name, fmt.Sprintf("route too short (%d steps, batch %d)", len(tr), L))
 		return
 	}
-	prefix := &core.Sequence{
-		KPIs: seq.KPIs[:P], Cells: seq.Cells[:P], Env: seq.Env[:P],
-		Raw: seq.Raw[:P], Interval: seq.Interval,
-	}
-	full := g.GenerateSeeded(seq, opts.Seed)
-	part := g.GenerateSeeded(prefix, opts.Seed)
+	full := sp.sample("truncation full route", tr, opts.Seed)
+	part := sp.sample("truncation prefix", tr[:P], opts.Seed)
 	ok, detail := seriesEqual(full[:P], part)
 	if ok {
-		detail = fmt.Sprintf("prefix %d of %d steps", P, seq.Len())
+		detail = fmt.Sprintf("prefix %d of %d steps", P, len(tr))
 	}
-	rep.add(CheckResult{Name: "meta/truncation-consistency", Passed: ok, Detail: detail})
+	rep.add(CheckResult{Name: name, Passed: ok, Detail: detail})
 }
 
 // checkMonotonicRSRPDistance: a route hugging a cell site must not get a
@@ -266,9 +182,9 @@ func checkTruncationConsistency(g core.Generator, seq *core.Sequence, opts Optio
 // routes circle a real cell of the dataset's deployment at ~150 m and
 // ~1500 m, annotated by the resident world, so the model sees genuine
 // context — only the distance differs.
-func checkMonotonicRSRPDistance(g core.Generator, tr geo.Trajectory, opts Options, rep *Report) {
+func checkMonotonicRSRPDistance(sp *servingPath, tr geo.Trajectory, opts Options, rep *Report) {
 	const name = "meta/monotonic-rsrp-distance"
-	ci := channelIndex(g, "RSRP")
+	ci := channelIndex(sp.g, "RSRP")
 	if ci < 0 {
 		rep.skip(name, "model has no RSRP channel")
 		return
@@ -280,8 +196,8 @@ func checkMonotonicRSRPDistance(g core.Generator, tr geo.Trajectory, opts Option
 		return
 	}
 	site := vis[0].Cell.Site
-	near := meanChannelOnCircle(g, opts, site, 150, ci)
-	far := meanChannelOnCircle(g, opts, site, 1500, ci)
+	near := meanChannelOnCircle(sp, opts, site, 150, ci)
+	far := meanChannelOnCircle(sp, opts, site, 1500, ci)
 	rep.add(CheckResult{
 		Name: name, Passed: far-near <= monotonicSlack,
 		Observed: far - near, Limit: monotonicSlack,
@@ -291,26 +207,24 @@ func checkMonotonicRSRPDistance(g core.Generator, tr geo.Trajectory, opts Option
 
 // meanChannelOnCircle generates monotonicSamples samples on a 40-step
 // circle of the given radius around site and returns the mean normalized
-// value of channel ci.
-func meanChannelOnCircle(g core.Generator, opts Options, site geo.Point, radius float64, ci int) float64 {
+// value of channel ci. The circle is also queued for the served check as
+// one samples=monotonicSamples request.
+func meanChannelOnCircle(sp *servingPath, opts Options, site geo.Point, radius float64, ci int) float64 {
 	const steps = 40
 	tr := make(geo.Trajectory, steps)
 	for i := 0; i < steps; i++ {
 		p := geo.Offset(site, float64(i)*360/steps, radius)
 		tr[i] = geo.Sample{Point: p, T: float64(i)}
 	}
-	cfg := g.ModelConfig()
-	run := dataset.Run{Scenario: "validate-probe", Traj: tr, Meas: opts.Dataset.World.Annotate(tr, 0)}
-	seq := core.PrepareSequenceWith(run, cfg.Channels, core.PrepareOptions{
-		MaxCells: cfg.MaxCells, LoadAware: cfg.LoadAware,
-	})
+	seq, _ := sp.world.Prepare(tr, sp.g)
 	var vals []float64
 	for s := 0; s < monotonicSamples; s++ {
-		gen := g.GenerateSeeded(seq, core.DeriveSeed(opts.Seed, 1000+s))
+		gen := sp.g.GenerateSeeded(seq, core.DeriveSeed(opts.Seed, 1000+s))
 		for t := range gen {
 			vals = append(vals, gen[t][ci])
 		}
 	}
+	sp.request(fmt.Sprintf("RSRP probe circle %g m", radius), tr, core.DeriveSeed(opts.Seed, 1000), monotonicSamples)
 	return metrics.Mean(vals)
 }
 

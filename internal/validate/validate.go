@@ -9,10 +9,15 @@
 //     error — versus a committed golden tolerance file (validate/golden/).
 //
 //   - Metamorphic invariants need no ground truth at all: seed determinism
-//     across the serial, Workers=N, and HTTP /v1/generate paths,
-//     sample-permutation invariance, truncation consistency, and physical
-//     monotonicity (closer to the serving cell must not lower mean RSRP;
-//     more load must not raise SINR).
+//     across the serial and Workers=N paths, sample-permutation
+//     invariance, truncation consistency, and physical monotonicity
+//     (closer to the serving cell must not lower mean RSRP; more load must
+//     not raise SINR).
+//
+//   - One served check replays every request the two families above made
+//     on the serving path against a /v1/generate endpoint — a live replica
+//     or a loopback one — and requires the generator's own answers, bit
+//     for bit. A replica passes by being the candidate.
 //
 // cmd/gendt-validate drives the suite from the command line, and the
 // statistical-gate CI job proves it has teeth by also running it against a
@@ -50,17 +55,15 @@ type Options struct {
 	// Workers is the parallel width the Workers=N determinism check runs
 	// at. Default 4.
 	Workers int
-	// SkipHTTP disables the HTTP /v1/generate determinism check (it starts
-	// a loopback server).
-	SkipHTTP bool
 
-	// Precision selects the backend under validation: f64 (default) runs
-	// the live model, f32/int8 freeze it into the corresponding inference
-	// backend first, so the statistical gate certifies exactly what the
-	// serving layer would run. Determinism checks are per-precision — a
-	// frozen backend must be bit-exact against itself across execution
-	// paths, not against the float64 model.
-	Precision core.Precision
+	// Target is the base URL of the /v1/generate endpoint the served check
+	// replays the gate's requests against, e.g. http://127.0.0.1:18081 — a
+	// replica that should be serving the generator under validation. Empty
+	// starts a loopback replica of that generator.
+	Target string
+	// TargetModel is the registered model name on Target; empty uses the
+	// replica's single-model default.
+	TargetModel string
 
 	// Golden holds the distributional tolerances. Nil runs the
 	// distributional pass observe-only (checks report as skipped), which is
@@ -174,24 +177,21 @@ func (r *Report) skip(name, why string) {
 	r.add(CheckResult{Name: name, Skipped: true, Detail: why})
 }
 
-// Run executes the full validation suite against the model — frozen first
-// to Options.Precision when it is not f64. The returned error covers only
-// setup problems (nil dataset, no held-out routes, a precision the model
-// cannot freeze to); everything else — including HTTP-path trouble — is
-// reported through the Report's checks so a single run always yields a
+// Run executes the full validation suite against g, whatever its backend
+// (a live *core.Model or a frozen *core.InferModel — the caller freezes).
+// It has two parts: the distributional and metamorphic checks on g
+// in-process, and one served check (meta/seed-determinism-http) that
+// replays every route-level request the in-process part answered on the
+// serving path against Options.Target, or a loopback replica of g, and
+// requires each response to be bit-identical to g's own answer. The
+// returned error covers only setup problems (nil dataset, no held-out
+// routes); everything else — an unreachable or failing target included —
+// is reported through the Report's checks so a single run always yields a
 // full picture.
-func Run(m *core.Model, opts Options) (*Report, error) {
+func Run(g core.Generator, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	if opts.Dataset == nil {
 		return nil, fmt.Errorf("validate: Options.Dataset is required")
-	}
-	var g core.Generator = m
-	if opts.Precision != "" && opts.Precision != core.PrecisionF64 {
-		im, err := m.Freeze(opts.Precision)
-		if err != nil {
-			return nil, fmt.Errorf("validate: %w", err)
-		}
-		g = im
 	}
 	cfg := g.ModelConfig()
 	rep := &Report{Dataset: opts.Dataset.Name}
@@ -215,27 +215,15 @@ func Run(m *core.Model, opts Options) (*Report, error) {
 	opts.Logf("validate: %d held-out routes (%d..%d samples), %d samples/route",
 		len(seqs), minLen, maxLen, opts.SamplesPerRoute)
 
-	// The distributional pass generates from serving-path sequences — the
-	// held-out trajectories annotated by the resident world, exactly as a
-	// replica prepares an HTTP request — so the same golden file gates the
-	// in-process run and RunRemote's over-the-wire run. Ground truth stays
-	// the recorded held-out KPIs either way.
-	genSeqs := servingPathSequences(routes, g, opts)
-	distributionChecks(localGen(g, genSeqs, opts.Seed), cfg.Channels, seqs, opts, rep)
-	metamorphicChecks(g, routes, seqs, opts, rep)
+	// The distributional pass generates on the serving path — the held-out
+	// trajectories annotated by the resident world, exactly as a replica
+	// prepares an HTTP request — so the served check can replay each of its
+	// samples. Ground truth stays the recorded held-out KPIs.
+	sp := &servingPath{g: g, world: serve.NewWorldFrom(opts.Dataset)}
+	distributionChecks(sp, cfg.Channels, routes, seqs, opts, rep)
+	metamorphicChecks(sp, routes, seqs, opts, rep)
+	checkServed(sp, routes[0].Traj, opts, rep)
 	return rep, nil
-}
-
-// servingPathSequences prepares the held-out trajectories the way the
-// serving layer would: world annotation of the bare route, no recorded
-// measurement context.
-func servingPathSequences(routes []dataset.Run, g core.Generator, opts Options) []*core.Sequence {
-	world := serve.NewWorldFrom(opts.Dataset)
-	out := make([]*core.Sequence, len(routes))
-	for i, run := range routes {
-		out[i], _ = world.Prepare(run.Traj, g)
-	}
-	return out
 }
 
 // heldOutSequences prepares up to opts.Routes test-split runs, truncated

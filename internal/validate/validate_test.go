@@ -2,6 +2,8 @@ package validate
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +12,7 @@ import (
 
 	"gendt/internal/core"
 	"gendt/internal/dataset"
+	"gendt/internal/serve"
 )
 
 // fixture: one tiny trained model over a small Dataset A world, built once
@@ -45,6 +48,32 @@ func setup(t *testing.T) (*dataset.Dataset, *core.Model) {
 // fixOpts keeps runs small: two short routes, one sample each.
 func fixOpts(ds *dataset.Dataset) Options {
 	return Options{Dataset: ds, Routes: 2, SamplesPerRoute: 1, MaxRouteLen: 60, Seed: 3, Workers: 2}
+}
+
+// replica serves g over /v1/generate on a loopback server, registered as
+// "gendt", with its own resident copy of ds's world, and returns its URL.
+func replica(t *testing.T, ds *dataset.Dataset, g core.Generator) string {
+	t.Helper()
+	srv := serve.New(serve.Options{
+		Registry: serve.NewStaticRegistry("gendt", g),
+		World:    serve.NewWorldFrom(ds),
+	})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		ts.Close()
+	})
+	return ts.URL
+}
+
+// find returns the named check of a report.
+func find(rep *Report, name string) (CheckResult, bool) {
+	for _, c := range rep.Checks {
+		if c.Name == name {
+			return c, true
+		}
+	}
+	return CheckResult{}, false
 }
 
 // TestObserveDeriveGate is the golden lifecycle: an observe-only run
@@ -103,22 +132,26 @@ func TestObserveDeriveGate(t *testing.T) {
 }
 
 // TestRunDeterministic: the whole suite is a pure function of
-// (model, dataset, options) — two runs render identical reports.
+// (model, dataset, options) — two runs render identical reports, against
+// the loopback replica and against a target alike.
 func TestRunDeterministic(t *testing.T) {
 	ds, m := setup(t)
-	opts := fixOpts(ds)
-	a, err := Run(m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	if string(ja) != string(jb) {
-		t.Fatalf("reports differ:\n%s\nvs\n%s", ja, jb)
+	for _, target := range []string{"", replica(t, ds, m)} {
+		opts := fixOpts(ds)
+		opts.Target = target
+		a, err := Run(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Run(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ja, _ := json.Marshal(a)
+		jb, _ := json.Marshal(b)
+		if string(ja) != string(jb) {
+			t.Fatalf("target %q: reports differ:\n%s\nvs\n%s", target, ja, jb)
+		}
 	}
 }
 
@@ -128,7 +161,6 @@ func TestRunDeterministic(t *testing.T) {
 func TestCorruptedModelFails(t *testing.T) {
 	ds, m := setup(t)
 	opts := fixOpts(ds)
-	opts.SkipHTTP = true // determinism holds for deterministic garbage; skip the slow path
 
 	observe, err := Run(m, opts)
 	if err != nil {
@@ -161,7 +193,6 @@ func TestCorruptedModelFails(t *testing.T) {
 func TestGoldenRoundTrip(t *testing.T) {
 	ds, m := setup(t)
 	opts := fixOpts(ds)
-	opts.SkipHTTP = true
 	rep, err := Run(m, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -197,31 +228,42 @@ func TestGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGoldenDatasetMismatch: tolerances derived on one dataset must not
-// silently gate another.
+// TestGoldenDatasetMismatch: tolerances derived under one dataset, route
+// count, sample count or seed must not silently gate a run under another,
+// and the failure names the field that differs.
 func TestGoldenDatasetMismatch(t *testing.T) {
 	ds, m := setup(t)
 	opts := fixOpts(ds)
-	opts.SkipHTTP = true
 	rep, err := Run(m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := rep.DeriveGolden(opts)
-	g.Dataset = "B"
-	opts.Golden = g
-	rep, err = Run(m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var found bool
-	for _, c := range rep.Failures() {
-		if c.Name == "dist/golden-config" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("dataset mismatch not flagged:\n%s", rep)
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Golden)
+	}{
+		{"dataset", func(g *Golden) { g.Dataset = "B" }},
+		{"routes", func(g *Golden) { g.Routes++ }},
+		{"samples_per_route", func(g *Golden) { g.SamplesPerRoute++ }},
+		{"seed", func(g *Golden) { g.Seed++ }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			g := rep.DeriveGolden(opts)
+			tc.mutate(g)
+			o := opts
+			o.Golden = g
+			got, err := Run(m, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, ok := find(got, "dist/golden-config")
+			if !ok || c.Passed {
+				t.Fatalf("%s mismatch not flagged:\n%s", tc.field, got)
+			}
+			if !strings.HasPrefix(c.Detail, tc.field+":") {
+				t.Fatalf("detail %q does not name %s", c.Detail, tc.field)
+			}
+		})
 	}
 }
 
@@ -246,18 +288,11 @@ func TestLoadAwareSINRCheck(t *testing.T) {
 	m.Train(train, nil)
 
 	opts := fixOpts(ds)
-	opts.SkipHTTP = true
 	rep, err := Run(m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c CheckResult
-	var ok bool
-	for _, ch := range rep.Checks {
-		if ch.Name == "meta/monotonic-sinr-load" {
-			c, ok = ch, true
-		}
-	}
+	c, ok := find(rep, "meta/monotonic-sinr-load")
 	if !ok {
 		t.Fatalf("meta/monotonic-sinr-load missing:\n%s", rep)
 	}
@@ -274,23 +309,19 @@ func TestLoadAwareSINRCheck(t *testing.T) {
 // model, which has no batched engine.
 func TestBatchedEngineIdentityCheck(t *testing.T) {
 	ds, m := setup(t)
-	find := func(rep *Report) (CheckResult, bool) {
-		for _, c := range rep.Checks {
-			if c.Name == "meta/batched-engine-identity" {
-				return c, true
-			}
-		}
-		return CheckResult{}, false
-	}
 	for _, p := range []core.Precision{core.PrecisionF32, core.PrecisionInt8} {
-		opts := fixOpts(ds)
-		opts.SkipHTTP = true
-		opts.Precision = p
-		rep, err := Run(m, opts)
+		im, err := m.Freeze(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, ok := find(rep)
+		rep, err := Run(im, fixOpts(ds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
+			t.Fatalf("%s: frozen backend failed:\n%s", p, rep)
+		}
+		c, ok := find(rep, "meta/batched-engine-identity")
 		if !ok {
 			t.Fatalf("%s: meta/batched-engine-identity missing:\n%s", p, rep)
 		}
@@ -301,13 +332,67 @@ func TestBatchedEngineIdentityCheck(t *testing.T) {
 			t.Fatalf("%s: failed: %s", p, c)
 		}
 	}
-	opts := fixOpts(ds)
-	opts.SkipHTTP = true
-	rep, err := Run(m, opts)
+	rep, err := Run(m, fixOpts(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, ok := find(rep); !ok || !c.Skipped {
+	if c, ok := find(rep, "meta/batched-engine-identity"); !ok || !c.Skipped {
 		t.Fatalf("f64: want skipped check, got %+v", c)
+	}
+}
+
+// TestServedTarget runs the gate with Target set to a replica: it passes
+// only when the replica serves the generator under validation, bit for
+// bit, and a replica that is down is a failed check, not a setup error.
+func TestServedTarget(t *testing.T) {
+	ds, m := setup(t)
+	perturbed := m.Clone(1)
+	perturbed.PerturbWeights(0.02, 5)
+	f32, err := m.Freeze(core.PrecisionF32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+	}))
+	defer down.Close()
+
+	for _, tc := range []struct {
+		name   string
+		target string
+		want   string // "" passes; otherwise the served check's detail contains it
+	}{
+		{"candidate", replica(t, ds, m), ""},
+		{"perturbed weights", replica(t, ds, perturbed), "serves a different model"},
+		{"f32 replica of an f64 candidate", replica(t, ds, f32), "serves a different model"},
+		{"503", down.URL, "status 503"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := fixOpts(ds)
+			opts.Target, opts.TargetModel = tc.target, "gendt"
+			rep, err := Run(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, ok := find(rep, "meta/seed-determinism-http")
+			if !ok {
+				t.Fatalf("served check missing:\n%s", rep)
+			}
+			if !strings.Contains(c.Detail, tc.target) {
+				t.Errorf("detail %q does not name the target", c.Detail)
+			}
+			if tc.want == "" {
+				if !rep.OK() {
+					t.Fatalf("replica of the candidate failed:\n%s", rep)
+				}
+				return
+			}
+			if c.Passed || !strings.Contains(c.Detail, tc.want) {
+				t.Fatalf("want a failed served check naming %q, got %s", tc.want, c)
+			}
+			if fails := rep.Failures(); len(fails) != 1 {
+				t.Fatalf("want only the served check to fail, got:\n%s", rep)
+			}
+		})
 	}
 }
